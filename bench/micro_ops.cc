@@ -414,10 +414,11 @@ BENCHMARK(BM_FedRoundScale)
 
 // A full FedCross round sweeping the middleware-model count K, under both
 // execution backends. K middleware models train on K sampled clients per
-// round, so K is both the replica count the plan executor can fuse across
-// and the cross-aggregation fan-in. Args: {K, exec} with exec 0 = layers,
-// 1 = plan; the layers/plan delta at fixed K is the batched-executor
-// speedup reported in EXPERIMENTS.md.
+// round, so K is the number of client jobs per round and the
+// cross-aggregation fan-in. Each job trains alone (one pool task, one
+// replica) under either backend. Args: {K, exec} with exec 0 = layers,
+// 1 = plan; the layers/plan delta at fixed K is the compiled-plan speedup
+// reported in EXPERIMENTS.md.
 void BM_FedCrossRound(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   fl::SetFlThreads(1);
@@ -447,9 +448,8 @@ BENCHMARK(BM_FedCrossRound)
     ->UseRealTime();
 
 // The same K x exec sweep on the compiled zoo topologies: ResNet (residual
-// skip refs + the cross-replica grouped-conv fusion) and the Embedding+LSTM
-// head (bounded per-timestep loop with grouped gate GEMMs). Both lower
-// natively, so plan:1 runs with zero interpreter fallbacks.
+// skip refs) and the Embedding+LSTM head (bounded per-timestep loop). Both
+// lower natively, so plan:1 runs with zero interpreter fallbacks.
 void RunFedCrossZooRound(benchmark::State& state,
                          const models::ModelFactory& factory,
                          data::FederatedDataset data) {

@@ -7,7 +7,6 @@
 
 #include "fl/flat_ops.h"
 #include "fl/parallel.h"
-#include "fl/plan_runner.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -435,19 +434,13 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
                    config_.faults.round_deadline, wire_scratch_[slot],
                    results_[slot]);
   };
-  bool use_plan = count > 0 && jobs[0].spec != nullptr &&
-                  jobs[0].spec->options.exec == ExecMode::kPlan;
   {
     PhaseScope phase(*this, RoundPhase::kTrain);
-    if (use_plan) {
-      TrainClientsPlan(round, salt, jobs);
+    util::ThreadPool* pool = AcquireFlPool();
+    if (pool != nullptr && count > 1) {
+      pool->ParallelFor(count, train_slot);
     } else {
-      util::ThreadPool* pool = AcquireFlPool();
-      if (pool != nullptr && count > 1) {
-        pool->ParallelFor(count, train_slot);
-      } else {
-        for (int slot = 0; slot < count; ++slot) train_slot(slot);
-      }
+      for (int slot = 0; slot < count; ++slot) train_slot(slot);
     }
   }
   // Bookkeeping and upload screening on the calling thread, in job order,
@@ -569,27 +562,11 @@ void FlAlgorithm::TrainClientJob(const ClientJob& job, const FlClient& client,
                                  util::Rng& fault_rng, util::Rng& codec_rng,
                                  util::Rng& privacy_rng, double round_deadline,
                                  WireScratch& wire, LocalTrainResult& result) {
-  FaultDecision decision;
-  if (!PrepareClientJob(job, client, fault_rng, round_deadline, wire, result,
-                        decision)) {
-    return;
-  }
-  client.Train(pool_, wire.dispatched, *job.spec, rng, result);
-  FinishClientJob(job, residual, decision, fault_rng, codec_rng, privacy_rng,
-                  wire, result);
-}
-
-bool FlAlgorithm::PrepareClientJob(const ClientJob& job,
-                                   const FlClient& client,
-                                   util::Rng& fault_rng,
-                                   double round_deadline, WireScratch& wire,
-                                   LocalTrainResult& result,
-                                   FaultDecision& decision) {
   FC_CHECK(job.init_params != nullptr);
   FC_CHECK(job.spec != nullptr);
 
   const FaultProfile& profile = config_.faults.ProfileFor(job.client_id);
-  decision = DrawFaults(profile, round_deadline, fault_rng);
+  FaultDecision decision = DrawFaults(profile, round_deadline, fault_rng);
 
   // Dropout / straggler timeout: the device received the model (the
   // dispatch frame still crossed the wire) but its upload never reaches the
@@ -610,7 +587,7 @@ bool FlAlgorithm::PrepareClientJob(const ClientJob& job,
     result.slowdown = decision.duration;
     result.upload_corrupt = false;
     result.dp_clipped = false;
-    return false;
+    return;
   }
 
   // Dispatch round trip: the client trains on the decoded frame, never on
@@ -621,14 +598,9 @@ bool FlAlgorithm::PrepareClientJob(const ClientJob& job,
   util::Status dispatched =
       comm::DecodeDispatch(wire.frame, shape_table_, wire.dispatched);
   FC_CHECK(dispatched.ok()) << dispatched.ToString();
-  return true;
-}
 
-void FlAlgorithm::FinishClientJob(const ClientJob& job, FlatParams* residual,
-                                  const FaultDecision& decision,
-                                  util::Rng& fault_rng, util::Rng& codec_rng,
-                                  util::Rng& privacy_rng, WireScratch& wire,
-                                  LocalTrainResult& result) {
+  client.Train(pool_, wire.dispatched, *job.spec, rng, result);
+
   // DP sanitisation before corruption and the upload codec: the mechanism
   // runs on-device against the dispatched reference, and its noise comes
   // from the dedicated privacy stream — never the training rng, whose draw
@@ -639,7 +611,6 @@ void FlAlgorithm::FinishClientJob(const ClientJob& job, FlatParams* residual,
         wire.dispatched, result.params, config_.dp, privacy_rng);
   }
   if (decision.corrupt) {
-    const FaultProfile& profile = config_.faults.ProfileFor(job.client_id);
     CorruptUpload(profile, wire.dispatched, result.params, fault_rng);
     result.fault = FaultKind::kCorrupted;
   }
@@ -664,80 +635,6 @@ void FlAlgorithm::FinishClientJob(const ClientJob& job, FlatParams* residual,
   result.weight_scale = 1.0;
   result.slowdown = decision.duration;
   result.upload_corrupt = decision.corrupt;
-}
-
-void FlAlgorithm::TrainClientsPlan(int round, int salt,
-                                   const std::vector<ClientJob>& jobs) {
-  int count = static_cast<int>(jobs.size());
-  struct SlotCtx {
-    util::Rng job_rng;
-    util::Rng fault_rng;
-    util::Rng codec_rng;
-    util::Rng privacy_rng;
-    FaultDecision decision;
-    bool trains = false;
-  };
-  // Same per-slot streams as the layer path, constructed from the same
-  // seeds; Prepare/train/Finish consume each stream in the same order a
-  // monolithic TrainClientJob would.
-  std::vector<SlotCtx> ctx;
-  ctx.reserve(count);
-  for (int slot = 0; slot < count; ++slot) {
-    ctx.push_back(SlotCtx{
-        util::Rng(ClientJobSeed(config_.seed, round, salt, slot)),
-        util::Rng(FaultSeed(config_.seed, round, salt, slot)),
-        util::Rng(CodecSeed(config_.seed, round, salt, slot)),
-        util::Rng(privacy::PrivacySeed(config_.seed, round, salt, slot)),
-        FaultDecision{}, false});
-  }
-  std::vector<PlanJob> plan_jobs;
-  plan_jobs.reserve(count);
-  for (int slot = 0; slot < count; ++slot) {
-    if (!PrepareClientJob(jobs[slot], *client_slots_[slot],
-                          ctx[slot].fault_rng, config_.faults.round_deadline,
-                          wire_scratch_[slot], results_[slot],
-                          ctx[slot].decision)) {
-      continue;
-    }
-    ctx[slot].trains = true;
-    PlanJob pj;
-    pj.client = client_slots_[slot];
-    pj.init_params = &wire_scratch_[slot].dispatched;
-    pj.spec = jobs[slot].spec;
-    pj.rng = &ctx[slot].job_rng;
-    pj.result = &results_[slot];
-    plan_jobs.push_back(pj);
-  }
-
-  int n = static_cast<int>(plan_jobs.size());
-  if (n > 0) {
-    util::ThreadPool* tp = AcquireFlPool();
-    if (tp != nullptr && n > 1) {
-      // One lockstep cohort per contiguous chunk. Chunking only changes how
-      // many replicas each fused GEMM spans; every job's bits come from its
-      // own per-slot streams, so the split is schedule-invariant.
-      int chunks = std::min(n, std::max(1, FlThreads()));
-      tp->ParallelFor(chunks, [&](int c) {
-        int begin =
-            static_cast<int>(static_cast<std::int64_t>(n) * c / chunks);
-        int end =
-            static_cast<int>(static_cast<std::int64_t>(n) * (c + 1) / chunks);
-        if (end > begin) {
-          RunPlanJobs(pool_, plan_jobs.data() + begin, end - begin);
-        }
-      });
-    } else {
-      RunPlanJobs(pool_, plan_jobs.data(), n);
-    }
-  }
-
-  for (int slot = 0; slot < count; ++slot) {
-    if (!ctx[slot].trains) continue;
-    FinishClientJob(jobs[slot], residual_slots_[slot], ctx[slot].decision,
-                    ctx[slot].fault_rng, ctx[slot].codec_rng,
-                    ctx[slot].privacy_rng, wire_scratch_[slot],
-                    results_[slot]);
-  }
 }
 
 const std::vector<LocalTrainResult>& FlAlgorithm::TrainClientsAsync(

@@ -370,22 +370,6 @@ class FlAlgorithm {
                       util::Rng& privacy_rng, double round_deadline,
                       WireScratch& wire, LocalTrainResult& result);
 
-  // TrainClientJob split at the training boundary, so the plan-mode path
-  // can run all surviving jobs' local SGD as one lockstep cohort between
-  // the two halves. Prepare draws faults and round-trips the dispatch
-  // frame; it returns false (echoing the dispatch into `result`) when the
-  // job resolved to a dropout/straggler. Finish applies DP sanitisation,
-  // upload corruption and the upload round trip. Each consumes exactly the
-  // rng draws the corresponding region of TrainClientJob consumes.
-  bool PrepareClientJob(const ClientJob& job, const FlClient& client,
-                        util::Rng& fault_rng, double round_deadline,
-                        WireScratch& wire, LocalTrainResult& result,
-                        FaultDecision& decision);
-  void FinishClientJob(const ClientJob& job, FlatParams* residual,
-                       const FaultDecision& decision, util::Rng& fault_rng,
-                       util::Rng& codec_rng, util::Rng& privacy_rng,
-                       WireScratch& wire, LocalTrainResult& result);
-
   // The secure-aggregation verification overlay for one aggregation event:
   // recomputes the cohort's sum under pairwise fixed-point masks, recovers
   // dropped members' masks from their pair seeds, checks the unmasked total
@@ -434,13 +418,6 @@ class FlAlgorithm {
   // that follows.
   const std::vector<LocalTrainResult>& TrainClientsAsync(
       int round, int salt, const std::vector<ClientJob>& jobs);
-
-  // The kTrain phase body for ExecMode::kPlan: Prepare every slot, run the
-  // surviving jobs through the lockstep plan runner (contiguous chunks
-  // across the FL thread pool), then Finish in slot order. Bit-identical
-  // to the layer path for every job at every --fl_threads value.
-  void TrainClientsPlan(int round, int salt,
-                        const std::vector<ClientJob>& jobs);
 
   // Deterministic fingerprint of (name, seed, K, N, model size, train
   // options); a checkpoint only restores into a matching configuration.

@@ -68,6 +68,9 @@ void StateWriter::WriteDoubles(const std::vector<double>& values) {
 }
 
 util::Status StateReader::ReadRaw(void* dst, std::size_t count) {
+  // An empty vector reads into a null data() pointer, and memcpy with a
+  // null argument is undefined even for zero bytes.
+  if (count == 0) return util::Status::Ok();
   if (offset_ + count > bytes_.size()) {
     return util::Status::InvalidArgument(
         "truncated checkpoint: need " + std::to_string(count) +

@@ -42,10 +42,10 @@ class ModelPool {
     Tensor features;                  // mini-batch features
     std::vector<int> labels;          // mini-batch labels
     std::vector<int> batch_indices;   // evaluator batch index scratch
-    // Execution-plan state per input shape (the epoch-tail short batch gets
-    // its own entry). Arenas ride along with the replica, so plan-mode
-    // rounds reuse them allocation-free once warm.
-    std::map<Tensor::Shape, nn::plan::PlanState> plan_states;
+    // Execution-plan state, rebound whenever the batch shape (and so the
+    // program) changes. Its grow-only arena rides along with the replica,
+    // so plan-mode rounds reuse it allocation-free once warm.
+    nn::plan::PlanState plan_state;
   };
 
   // RAII lease: returns the replica to the pool on destruction.

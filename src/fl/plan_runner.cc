@@ -223,7 +223,7 @@ void RunPlanJobs(ModelPool& pool, const PlanJob* jobs, int count) {
         ModelPool::Replica& replica = *slot.lease;
         replica.model.ZeroGrad();
         const bool want_bf16 = slot.job->spec->options.plan_bf16;
-        nn::plan::PlanState& st = replica.plan_states[lead.features.shape()];
+        nn::plan::PlanState& st = replica.plan_state;
         if (st.program != program || st.model != &replica.model ||
             st.bf16 != want_bf16) {
           st.Bind(*program, replica.model, want_bf16);

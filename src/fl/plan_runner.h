@@ -20,14 +20,16 @@ struct PlanJob {
   LocalTrainResult* result = nullptr;
 };
 
-// Trains `count` jobs in lockstep on the execution-plan runtime: every job
-// holds a pooled replica, advances one mini-batch per step, and steps whose
-// batches share a shape are fused so each GEMM runs once across all of them
-// (ops::GemmGrouped). Each job's parameter trajectory, loss accounting and
-// RNG consumption are bit-identical to FlClient::Train's layer path. When
-// the pooled topology has no plan (LSTM, residual, ...), every job falls
-// back to the layer path transparently. Thread-compatible: concurrent calls
-// on disjoint job ranges share only the (internally locked) pool.
+// Trains `count` jobs on the execution-plan runtime. FL rounds call it with
+// count == 1 (FlClient::Train, one job per pool task). With count > 1 the
+// jobs run in lockstep: every job holds a pooled replica, advances one
+// mini-batch per step, and steps whose batches share a shape are fused so
+// each GEMM runs once across all of them (ops::GemmGrouped). Each job's
+// parameter trajectory, loss accounting and RNG consumption are
+// bit-identical to FlClient::Train's layer path. When the pooled topology
+// has no plan (a layer kind with no lowering), every job falls back to the
+// layer path transparently. Thread-compatible: concurrent calls on disjoint
+// job ranges share only the (internally locked) pool.
 void RunPlanJobs(ModelPool& pool, const PlanJob* jobs, int count);
 
 }  // namespace fedcross::fl

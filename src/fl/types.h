@@ -12,10 +12,10 @@ namespace fedcross::fl {
 using FlatParams = std::vector<float>;
 
 // How local SGD executes. kLayers walks Layer::Forward/Backward per model
-// (the historical path). kPlan compiles the model once into a static
-// execution plan (nn/plan.h) and runs all of a round's replicas in
-// lockstep, fusing each GEMM across replicas into one grouped call. Both
-// modes train bit-identically at every --fl_threads value. The whole model
+// (the historical path). kPlan compiles the model once per batch shape
+// into a static execution plan (nn/plan.h) and runs each client job on it
+// as one pool task, exactly like kLayers schedules its jobs. Both modes
+// train bit-identically at every --fl_threads value. The whole model
 // zoo compiles — MLP/CNN/VGG straight lines, ResNet residual blocks, the
 // Embedding+LSTM head — so the per-job kLayers fallback is reserved for
 // future layer kinds (e.g. batch-norm). Not part of the checkpoint

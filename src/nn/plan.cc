@@ -498,23 +498,27 @@ void PlanState::Bind(const Program& prog, Sequential& m, bool use_bf16) {
   bf16 = use_bf16;
   FC_CHECK_GT(prog.arena_floats, 0);
   FC_CHECK_LE(prog.arena_floats, static_cast<std::int64_t>(1) << 31);
+  // Grow-only storage: rebinding to a smaller program (the epoch-tail short
+  // batch) keeps the larger buffers, so a state cycling between batch
+  // shapes never reallocates and the gauge counts what it really holds.
   if (use_bf16) {
-    if (static_cast<std::int64_t>(arena16.size()) != prog.arena_floats) {
+    if (static_cast<std::int64_t>(arena16.size()) < prog.arena_floats) {
       arena16.resize(prog.arena_floats);
     }
-  } else {
+  } else if (arena.numel() < prog.arena_floats) {
     arena.ResizeTo({static_cast<int>(prog.arena_floats)});
   }
-  std::int64_t bytes = prog.arena_floats * (use_bf16 ? 2 : 4);
+  std::int64_t bytes = arena.numel() * 4 +
+                       static_cast<std::int64_t>(arena16.size()) * 2;
   if (bytes != accounted_bytes) {
     AccountArenaBytes(bytes - accounted_bytes);
     accounted_bytes = bytes;
   }
-  if (argmax.size() != prog.argmax_sizes.size()) {
+  if (argmax.size() < prog.argmax_sizes.size()) {
     argmax.resize(prog.argmax_sizes.size());
   }
   for (std::size_t i = 0; i < prog.argmax_sizes.size(); ++i) {
-    if (static_cast<std::int64_t>(argmax[i].size()) != prog.argmax_sizes[i]) {
+    if (static_cast<std::int64_t>(argmax[i].size()) < prog.argmax_sizes[i]) {
       argmax[i].resize(prog.argmax_sizes[i]);
     }
   }

@@ -26,11 +26,11 @@ namespace plan {
 // output), but the graph also carries saved-branch refs — a second input
 // ref (kAdd joins a residual skip branch back into the main path; branch
 // gradient refs alias so the join's backward is free) — and one bounded
-// per-timestep loop (kLstm walks T gate steps over arena slabs). The plan
-// executor runs K same-topology replicas in lockstep, fusing each GEMM
-// across replicas into one ops::GemmGrouped call and each conv-forward
-// image batch into one ops::ConvGrouped call (replica-interleaved SIMD
-// lanes for small shapes).
+// per-timestep loop (kLstm walks T gate steps over arena slabs). FL rounds
+// execute one replica per call. Given K same-topology replicas, the
+// executor runs them in lockstep instead, fusing each GEMM across replicas
+// into one ops::GemmGrouped call and each conv-forward image batch into one
+// ops::ConvGrouped call (replica-interleaved SIMD lanes for small shapes).
 //
 // Invariant: a plan step is bit-identical to Layer::Forward / loss /
 // Layer::Backward on the same replica. Three mechanisms enforce this:
@@ -143,9 +143,10 @@ struct Program {
 
 // Per-replica executor state: the arena (fp32, or packed bf16), MaxPool
 // argmax / Embedding id slots, and borrowed layer pointers (parameters and
-// the dropout RNG live in the model). Bind() reuses storage capacity, so
-// rebinding the same program is allocation-free after the first call.
-// Non-copyable: each state accounts its arena bytes in the process-wide
+// the dropout RNG live in the model). Storage is grow-only: one state can
+// be rebound to every program of a replica (full and short batches), and
+// rebinding is allocation-free once it has seen the largest. Non-copyable:
+// each state accounts the arena bytes it holds in the process-wide
 // fl.pool.arena_bytes gauge and settles up in the destructor.
 struct PlanState {
   struct OpBinding {

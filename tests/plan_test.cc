@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -278,12 +279,13 @@ AlgorithmConfig ToyConfig(ExecMode exec) {
   config.clients_per_round = 4;
   config.train.local_epochs = 2;
   // per_client=35 below is not a multiple of 10, so every epoch ends in a
-  // short batch and the lockstep runner must group two batch geometries.
+  // short batch and each replica's plan state is rebound between two batch
+  // geometries.
   config.train.batch_size = 10;
   config.train.lr = 0.05f;
   config.train.exec = exec;
   config.seed = 17;
-  // Nonzero dropout exercises the Prepare/Finish echo path in plan mode.
+  // Nonzero dropout exercises the dropout echo path in plan mode.
   config.dropout_prob = 0.2;
   return config;
 }
@@ -354,7 +356,7 @@ TEST(PlanExecutionTest, AllAlgorithmsBitIdenticalAcrossExecAndThreads) {
 
 // ---------------------------------------------------------------------------
 // plan == layers across the model zoo — all topologies lower natively, so
-// every run below goes through the lockstep executor with zero fallbacks
+// every run below goes through the plan executor with zero fallbacks
 // ---------------------------------------------------------------------------
 
 FlatParams RunImageFedAvg(const models::ModelFactory& factory, ExecMode exec,
@@ -478,6 +480,64 @@ TEST(PlanExecutionTest, ResNetBitIdenticalAcrossThreadsAndRoundModes) {
 TEST(PlanExecutionTest, LstmBitIdenticalAcrossThreadsAndRoundModes) {
   CheckThreadAndModeInvariance(models::MakeLstm(SmallLstm()),
                                MakeTextFederated(4, 13), "lstm");
+}
+
+// ---------------------------------------------------------------------------
+// Engine-level footprint: a round trains one plan job per pool task, so the
+// pool holds as many replicas as tasks ran at once (not K), each with one
+// grow-only arena sized by the largest batch program
+// ---------------------------------------------------------------------------
+
+class PooledFedCross : public core::FedCross {
+ public:
+  using core::FedCross::FedCross;
+  using core::FedCross::pool;
+};
+
+TEST(PlanExecutionTest, RoundReplicasTrackTasksAndArenasTrackLargestBatch) {
+  FlThreadsGuard guard;
+  SetFlThreads(2);
+  const int k = 10;
+  AlgorithmConfig config;
+  config.clients_per_round = k;
+  config.train.local_epochs = 2;
+  config.train.batch_size = 4;  // ~6-7 examples per client: short tails
+  config.train.lr = 0.05f;
+  config.train.exec = ExecMode::kPlan;
+  config.seed = 31;
+  core::FedCrossOptions options;
+  options.alpha = 0.9;
+  models::ModelFactory factory = models::MakeResNet(SmallResNet());
+  nn::Sequential probe = factory();
+  std::optional<nn::plan::Program> largest =
+      nn::plan::Program::Compile(probe, {config.train.batch_size, 3, 8, 8});
+  ASSERT_TRUE(largest.has_value());
+
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Gauge& gauge =
+      obs::MetricsRegistry::Global().GetGauge("fl.pool.arena_bytes");
+  double held = 0.0;
+  std::size_t replicas = 0;
+  {
+    PooledFedCross server(config, MakeImageFederated(12, 7), factory,
+                          options);
+    for (int r = 0; r < 2; ++r) server.RunRound(r);
+    held = gauge.Value();
+    replicas = server.pool().replicas_created();
+  }
+  // Destruction settles every state's bytes, so what remains is the
+  // gauge's value without this server.
+  held -= gauge.Value();
+
+  EXPECT_LT(replicas, static_cast<std::size_t>(k));
+  // ParallelFor runs FlThreads() helpers plus the calling thread.
+  EXPECT_LE(replicas, static_cast<std::size_t>(FlThreads() + 1));
+  EXPECT_GT(held, 0.0);
+  EXPECT_LE(held, static_cast<double>(replicas) *
+                      static_cast<double>(largest->arena_floats) *
+                      sizeof(float));
+  obs::SetMetricsEnabled(was_enabled);
 }
 
 // ---------------------------------------------------------------------------

@@ -525,6 +525,20 @@ TEST(StateSerializationTest, PrimitivesRoundTrip) {
   EXPECT_EQ(reader.ReadU32(u32).code(), util::StatusCode::kInvalidArgument);
 }
 
+TEST(StateSerializationTest, EmptyFloatVectorRoundTrips) {
+  StateWriter writer;
+  writer.WriteFloats({});
+  writer.WriteU32(7);
+  StateReader reader(writer.bytes());
+  FlatParams floats = {1.0f, 2.0f};  // a stale non-empty destination
+  std::uint32_t tail = 0;
+  ASSERT_TRUE(reader.ReadFloats(floats).ok());
+  ASSERT_TRUE(reader.ReadU32(tail).ok());
+  EXPECT_TRUE(floats.empty());
+  EXPECT_EQ(tail, 7u);
+  EXPECT_TRUE(reader.AtEnd());
+}
+
 TEST(StateSerializationTest, CorruptLengthPrefixIsRejected) {
   StateWriter writer;
   writer.WriteU64(~0ULL);  // a float vector claiming 2^64-1 elements
