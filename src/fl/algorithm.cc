@@ -542,7 +542,8 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
 void FlAlgorithm::ApplyMaskingOverlay(
     int round, int salt, const std::vector<const FlatParams*>& uploads) {
   privacy::MaskedSumReport report = privacy::SimulateMaskedAggregation(
-      config_.seed, round, salt, uploads, config_.secure_agg);
+      config_.seed, round, salt, uploads, config_.secure_agg,
+      AcquireFlPool());
   FC_CHECK(report.exact)
       << "masked aggregate failed to unmask to the direct fixed-point sum "
          "(cohort "

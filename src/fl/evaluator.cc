@@ -79,7 +79,7 @@ EvalResult EvaluateParams(ModelPool& pool, const FlatParams& params,
   util::ThreadPool* workers = AcquireFlPool();
   int shards = 1;
   if (workers != nullptr) {
-    shards = std::min(workers->num_threads(), num_batches);
+    shards = std::min(workers->num_runners(), num_batches);
   }
 
   // Per-batch partials, indexed by batch number regardless of which shard

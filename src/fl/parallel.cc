@@ -1,5 +1,6 @@
 #include "fl/parallel.h"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -47,8 +48,10 @@ void ParallelRanges(std::int64_t n, std::int64_t min_per_range,
   if (n <= 0) return;
   if (min_per_range < 1) min_per_range = 1;
   util::ThreadPool* pool = AcquireFlPool();
-  std::int64_t ranges = pool == nullptr ? 1 : n / min_per_range;
-  if (ranges > FlThreads()) ranges = FlThreads();
+  std::int64_t ranges =
+      pool == nullptr ? 1
+                      : std::min<std::int64_t>(n / min_per_range,
+                                               pool->num_runners());
   if (ranges <= 1) {
     fn(0, n);
     return;

@@ -308,7 +308,7 @@ std::optional<Program> Program::Compile(Sequential& model,
       if (op.dx.space == Ref::Space::kNone) op.dx = alloc(op.numel);
     } else if (auto* block = dynamic_cast<ResidualBlock*>(layer)) {
       // Residual lowering: a short branch in the step graph.
-      //   main: conv1 -> gn1 -> relu -> conv2 -> gn2 ----\
+      //   main: conv1 -> gn1 -> relu -> conv2 -> gn2 ----+
       //   skip: input, or proj_conv -> proj_gn ----------- kAdd -> relu_out
       // The two branch outputs' gradient refs BOTH alias dSum (written once
       // by relu_out's backward), so kAdd needs no backward work; the two

@@ -1,18 +1,71 @@
 #include "privacy/masking.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace fedcross::privacy {
 namespace {
 
+constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;  // SplitMix64 step
+
 std::uint64_t MixSeed(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
+  x += kGamma;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+// A range is walked in blocks of this many words: the three uint64 blocks
+// the walk keeps on the stack (24 KiB) stay inside L1.
+constexpr std::size_t kBlockWords = 1024;
+// Ranges shorter than this are not worth a pool task.
+constexpr std::size_t kMinRangeWords = 256;
+
+// Adds (or, with `subtract`, subtracts) words [begin, begin + count) of the
+// counter-mode mask stream seeded by `pair_seed` into out[0, count). Word i
+// is SplitMix64's i-th output, MixSeed(pair_seed + i * gamma); the negation
+// is branch-free ((m ^ ~0) - ~0 == -m) so the loop vectorises.
+void AddMaskStream(std::uint64_t pair_seed, std::size_t begin,
+                   std::size_t count, bool subtract, std::uint64_t* out) {
+  const std::uint64_t negate = subtract ? ~std::uint64_t{0} : 0;
+  const std::uint64_t base = pair_seed + begin * kGamma;
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] += (MixSeed(base + i * kGamma) ^ negate) - negate;
+  }
+}
+
+// Adds member u's signed pairwise masks for words [begin, begin + count):
+// +m_uv for peers v > u, -m_vu for peers v < u. peer_seeds[v] is the pair
+// seed u shares with v (entry u is unused).
+void AddMemberMasks(const std::uint64_t* peer_seeds, int member, int cohort,
+                    std::size_t begin, std::size_t count,
+                    std::uint64_t* out) {
+  for (int v = 0; v < cohort; ++v) {
+    if (v == member) continue;
+    AddMaskStream(peer_seeds[v], begin, count, /*subtract=*/v < member, out);
+  }
+}
+
+std::uint64_t EncodeScaled(float value, double scale) {
+  if (!std::isfinite(value)) return 0;
+  double scaled = static_cast<double>(value) * scale;
+  constexpr double kSat = 4611686018427387904.0;  // 2^62
+  if (scaled > kSat) scaled = kSat;
+  if (scaled < -kSat) scaled = -kSat;
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(
+      std::llround(scaled)));
+}
+
+void EncodeRange(const float* values, std::size_t count, int bits,
+                 std::uint64_t* out) {
+  const double scale = std::ldexp(1.0, bits);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = EncodeScaled(values[i], scale);
+  }
 }
 
 }  // namespace
@@ -28,52 +81,54 @@ std::uint64_t PairSeed(std::uint64_t seed, int round, int salt, int member_u,
 }
 
 std::uint64_t FixedPointEncode(float value, int bits) {
-  if (!std::isfinite(value)) return 0;
-  double scaled = static_cast<double>(value) * std::ldexp(1.0, bits);
-  constexpr double kSat = 4611686018427387904.0;  // 2^62
-  if (scaled > kSat) scaled = kSat;
-  if (scaled < -kSat) scaled = -kSat;
-  return static_cast<std::uint64_t>(static_cast<std::int64_t>(
-      std::llround(scaled)));
+  return EncodeScaled(value, std::ldexp(1.0, bits));
+}
+
+void MaskedUploadRange(std::uint64_t run_seed, int round, int salt,
+                       int member, int cohort, const fl::FlatParams& upload,
+                       const MaskOptions& options, std::size_t begin,
+                       std::size_t count, std::uint64_t* out) {
+  FC_CHECK(member >= 0 && member < cohort);
+  FC_CHECK_LE(begin + count, upload.size());
+  std::vector<std::uint64_t> peer_seeds(cohort, 0);
+  for (int v = 0; v < cohort; ++v) {
+    if (v == member) continue;
+    peer_seeds[v] = PairSeed(run_seed, round, salt, std::min(member, v),
+                             std::max(member, v));
+  }
+  EncodeRange(upload.data() + begin, count, options.fixed_point_bits, out);
+  AddMemberMasks(peer_seeds.data(), member, cohort, begin, count, out);
 }
 
 MaskedSumReport SimulateMaskedAggregation(
     std::uint64_t run_seed, int round, int salt,
     const std::vector<const fl::FlatParams*>& uploads,
-    const MaskOptions& options) {
+    const MaskOptions& options, util::ThreadPool* pool) {
   MaskedSumReport report;
   report.cohort = static_cast<std::int64_t>(uploads.size());
+  const int members = static_cast<int>(uploads.size());
+  std::vector<int> survivors;
   std::size_t size = 0;
-  for (const fl::FlatParams* upload : uploads) {
-    if (upload == nullptr) continue;
-    ++report.survivors;
-    if (size == 0) {
-      size = upload->size();
+  for (int m = 0; m < members; ++m) {
+    if (uploads[m] == nullptr) continue;
+    if (survivors.empty()) {
+      size = uploads[m]->size();
     } else {
-      FC_CHECK_EQ(upload->size(), size);
+      FC_CHECK_EQ(uploads[m]->size(), size);
     }
+    survivors.push_back(m);
   }
-  if (report.survivors == 0) {
+  report.survivors = static_cast<std::int64_t>(survivors.size());
+  if (survivors.empty()) {
     report.exact = true;  // an empty sum needs no unmasking
     return report;
   }
 
-  // The direct fixed-point sum — the value the unmasked total must equal.
-  std::vector<std::uint64_t> direct(size, 0);
-  for (const fl::FlatParams* upload : uploads) {
-    if (upload == nullptr) continue;
-    for (std::size_t i = 0; i < size; ++i) {
-      direct[i] += FixedPointEncode((*upload)[i], options.fixed_point_bits);
-    }
-  }
-
-  // The masked server sum: every survivor contributes its quantised upload
-  // plus its signed pairwise masks (lower member adds, higher subtracts).
-  // A pair of survivors contributes +m and -m — cancelling in mod-2^64
-  // arithmetic; a survivor-dropout pair leaves its mask dangling and is
-  // queued for recovery.
-  std::vector<std::uint64_t> masked = direct;
-  const int members = static_cast<int>(uploads.size());
+  // One serial pass over the survivor pattern: the report's counts, the
+  // dangling (survivor, dropped) pairs recovery must rebuild, and the
+  // symmetric pair-seed table every member's masks are drawn from.
+  std::vector<std::uint64_t> seeds(
+      static_cast<std::size_t>(members) * members, 0);
   std::vector<std::pair<int, int>> dangling;
   for (int u = 0; u < members; ++u) {
     for (int v = u + 1; v < members; ++v) {
@@ -81,42 +136,72 @@ MaskedSumReport SimulateMaskedAggregation(
       const bool v_alive = uploads[v] != nullptr;
       if (!u_alive && !v_alive) continue;  // no endpoint uploaded a mask
       ++report.pairs;
-      util::Rng stream(PairSeed(run_seed, round, salt, u, v));
-      if (u_alive && v_alive) {
-        // Apply both endpoints' terms explicitly: the +m from u and the -m
-        // from v must annihilate word-for-word, which is exactly what the
-        // exactness check at the bottom verifies.
-        for (std::size_t i = 0; i < size; ++i) {
-          std::uint64_t m = stream.NextUint64();
-          masked[i] += m;
-          masked[i] -= m;
-        }
-      } else {
-        // Only one endpoint reached the server; its mask term dangles.
-        for (std::size_t i = 0; i < size; ++i) {
-          std::uint64_t m = stream.NextUint64();
-          masked[i] += u_alive ? m : static_cast<std::uint64_t>(0) - m;
-        }
-        dangling.emplace_back(u, v);
+      const std::uint64_t seed = PairSeed(run_seed, round, salt, u, v);
+      seeds[static_cast<std::size_t>(u) * members + v] = seed;
+      seeds[static_cast<std::size_t>(v) * members + u] = seed;
+      if (u_alive != v_alive) {
+        // Only one endpoint reached the server; the surviving peer reveals
+        // the pair seed (8 wire bytes) so the server can rebuild the term.
+        dangling.emplace_back(u_alive ? u : v, u_alive ? v : u);
+        ++report.recovered_pairs;
+        report.recovery_seed_bytes += sizeof(std::uint64_t);
       }
     }
   }
 
-  // Dropout recovery: the surviving peer reveals the pair seed (8 wire
-  // bytes), the server regenerates the stream and subtracts the dangling
-  // term.
-  for (const auto& [u, v] : dangling) {
-    util::Rng stream(PairSeed(run_seed, round, salt, u, v));
-    const bool u_alive = uploads[u] != nullptr;
-    for (std::size_t i = 0; i < size; ++i) {
-      std::uint64_t m = stream.NextUint64();
-      masked[i] -= u_alive ? m : static_cast<std::uint64_t>(0) - m;
+  // Unmasks parameter words [begin, end) block by block. Per block, every
+  // survivor builds its own masked upload; the server sums those, then
+  // subtracts each dangling term rebuilt from its revealed seed. The result
+  // must equal the direct fixed-point sum word for word: every
+  // survivor-survivor mask is drawn independently by both endpoints and
+  // must annihilate, and every dangling one is drawn by its survivor and
+  // again by recovery.
+  auto unmask_range = [&](std::size_t begin, std::size_t end) {
+    std::array<std::uint64_t, kBlockWords> direct;
+    std::array<std::uint64_t, kBlockWords> server;
+    std::array<std::uint64_t, kBlockWords> upload;
+    for (std::size_t block = begin; block < end; block += kBlockWords) {
+      const std::size_t count = std::min(kBlockWords, end - block);
+      std::fill_n(direct.begin(), count, 0);
+      std::fill_n(server.begin(), count, 0);
+      for (int u : survivors) {
+        EncodeRange(uploads[u]->data() + block, count,
+                    options.fixed_point_bits, upload.data());
+        for (std::size_t i = 0; i < count; ++i) direct[i] += upload[i];
+        AddMemberMasks(&seeds[static_cast<std::size_t>(u) * members], u,
+                       members, block, count, upload.data());
+        for (std::size_t i = 0; i < count; ++i) server[i] += upload[i];
+      }
+      // The survivor added +m when it is the lower member, -m otherwise;
+      // recovery takes the same term back out.
+      for (const auto& [alive, dropped] : dangling) {
+        AddMaskStream(seeds[static_cast<std::size_t>(alive) * members +
+                            dropped],
+                      block, count, /*subtract=*/alive < dropped,
+                      server.data());
+      }
+      if (!std::equal(server.begin(), server.begin() + count,
+                      direct.begin())) {
+        return false;
+      }
     }
-    ++report.recovered_pairs;
-    report.recovery_seed_bytes += sizeof(std::uint64_t);
-  }
+    return true;
+  };
 
-  report.exact = masked == direct;
+  const std::size_t runners =
+      pool == nullptr ? 1 : static_cast<std::size_t>(pool->num_runners());
+  const std::size_t ranges =
+      std::clamp<std::size_t>(size / kMinRangeWords, 1, runners);
+  if (ranges == 1) {
+    report.exact = unmask_range(0, size);
+    return report;
+  }
+  std::vector<char> range_exact(ranges, 0);
+  pool->ParallelFor(static_cast<int>(ranges), [&](int r) {
+    range_exact[r] = unmask_range(size * r / ranges, size * (r + 1) / ranges);
+  });
+  report.exact = std::all_of(range_exact.begin(), range_exact.end(),
+                             [](char ok) { return ok != 0; });
   return report;
 }
 

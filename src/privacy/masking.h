@@ -1,10 +1,12 @@
 #ifndef FEDCROSS_PRIVACY_MASKING_H_
 #define FEDCROSS_PRIVACY_MASKING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "fl/types.h"
+#include "util/thread_pool.h"
 
 namespace fedcross::privacy {
 
@@ -21,6 +23,11 @@ namespace fedcross::privacy {
 // scale and summed in wrapping uint64 arithmetic (mod 2^64), where
 // +m then -m is identically zero.
 //
+// Each pair seed expands into its mask in counter mode, as the real
+// protocol expands seeds with a PRG (AES-CTR there): word i of m_uv is the
+// i-th SplitMix64 output from PairSeed(...), so any parameter range of a
+// stream can be drawn on its own.
+//
 // When a member drops mid-round its masks never reach the server, so every
 // pair it shared with a survivor is left dangling in the sum. Recovery is
 // the protocol's dropout path: the surviving peers reveal their pair seeds
@@ -31,11 +38,13 @@ namespace fedcross::privacy {
 // masking here is a *protocol-faithful verification overlay*: the masked
 // fixed-point sum is computed from exactly the uploads aggregation
 // consumes (post-codec, post-screening — so masking composes with lossy
-// compression, robust screening, and the async buffer), unmasked by
-// cancellation + recovery, and checked bit-for-bit against the direct
-// fixed-point sum. The float aggregation path is untouched, which is what
-// makes masking-on runs bit-identical to masking-off runs by construction
-// (the same observation-only contract the sync virtual clock keeps).
+// compression, robust screening, and the async buffer): every survivor
+// builds its own masked upload, the server sums them and subtracts the
+// recovered dangling terms, and the result is checked word for word
+// against the direct fixed-point sum. The float aggregation path is
+// untouched, which is what makes masking-on runs bit-identical to
+// masking-off runs by construction (the same observation-only contract the
+// sync virtual clock keeps).
 // ---------------------------------------------------------------------------
 
 struct MaskOptions {
@@ -71,12 +80,24 @@ struct MaskedSumReport {
 // Runs one masked aggregation over a dispatch cohort. `uploads[m]` is
 // member m's decoded upload as aggregation would consume it, or nullptr if
 // the member dropped / timed out / was screened away (its masks are then
-// recovered). All non-null uploads must be equal length. Deterministic in
-// (run_seed, round, salt, cohort contents) — thread counts never touch it.
+// recovered). All non-null uploads must be equal length. With a `pool`, the
+// parameter vector is split into one contiguous range per pool runner and
+// the ranges are unmasked in parallel. Deterministic in (run_seed, round,
+// salt, cohort contents): the report is identical with or without a pool
+// and at every thread count.
 MaskedSumReport SimulateMaskedAggregation(
     std::uint64_t run_seed, int round, int salt,
     const std::vector<const fl::FlatParams*>& uploads,
-    const MaskOptions& options);
+    const MaskOptions& options, util::ThreadPool* pool = nullptr);
+
+// What cohort member `member` (of `cohort` members) puts on the wire for
+// parameter words [begin, begin + count): its fixed-point encoded `upload`
+// plus m_uv for every peer v > member, minus m_vu for every peer v <
+// member. Writes `count` words to `out`. Exposed for tests.
+void MaskedUploadRange(std::uint64_t run_seed, int round, int salt,
+                       int member, int cohort, const fl::FlatParams& upload,
+                       const MaskOptions& options, std::size_t begin,
+                       std::size_t count, std::uint64_t* out);
 
 // Fixed-point encoding of one float at 2^bits scale, exposed for tests:
 // non-finite values (a corrupted upload the screener was disabled for)

@@ -33,9 +33,16 @@ class ThreadPool {
   // in the loop, so ParallelFor may be called from inside a pool task
   // (nested parallelism) without deadlocking: the nested call drains its own
   // indices even when every other worker is busy.
+  //
+  // Up to num_runners() indices run at once: the caller plus up to
+  // num_threads() helpers. Code that splits work into one part per thread
+  // sizes the split by num_runners(), not num_threads(), or a runner idles.
   void ParallelFor(int count, const std::function<void(int)>& fn);
 
+  // Worker threads owned by the pool.
   int num_threads() const { return static_cast<int>(workers_.size()); }
+  // Threads a ParallelFor runs on: the workers plus the calling thread.
+  int num_runners() const { return num_threads() + 1; }
 
  private:
   void WorkerLoop();

@@ -145,11 +145,15 @@ TEST(ParallelDeterminismTest, EvaluationIsThreadCountInvariant) {
   EvalResult four = fedavg.Evaluate(params);
   SetFlThreads(3);
   EvalResult three = fedavg.Evaluate(params);
+  SetFlThreads(2);  // 3 runners over the 6 batches
+  EvalResult two = fedavg.Evaluate(params);
 
   EXPECT_EQ(serial.loss, four.loss);
   EXPECT_EQ(serial.accuracy, four.accuracy);
   EXPECT_EQ(serial.loss, three.loss);
   EXPECT_EQ(serial.accuracy, three.accuracy);
+  EXPECT_EQ(serial.loss, two.loss);
+  EXPECT_EQ(serial.accuracy, two.accuracy);
 }
 
 TEST(ParallelDeterminismTest, OddThreadCountMatchesToo) {

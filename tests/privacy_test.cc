@@ -7,6 +7,7 @@
 // round trip of the accountant ledger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include "privacy/dp.h"
 #include "privacy/masking.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fedcross {
 namespace {
@@ -389,6 +391,118 @@ TEST(MaskingTest, EmptyAndSingletonCohortsAreTriviallyExact) {
       privacy::SimulateMaskedAggregation(1, 0, 0, one, options);
   EXPECT_TRUE(report.exact);
   EXPECT_EQ(report.pairs, 0);
+}
+
+std::vector<fl::FlatParams> RandomUploads(int members, std::size_t size,
+                                          std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<fl::FlatParams> uploads(members, fl::FlatParams(size));
+  for (auto& upload : uploads) {
+    for (float& v : upload) v = static_cast<float>(rng.Normal(0.0, 1.0));
+  }
+  return uploads;
+}
+
+void ExpectSameReport(const privacy::MaskedSumReport& a,
+                      const privacy::MaskedSumReport& b) {
+  EXPECT_EQ(a.cohort, b.cohort);
+  EXPECT_EQ(a.survivors, b.survivors);
+  EXPECT_EQ(a.pairs, b.pairs);
+  EXPECT_EQ(a.recovered_pairs, b.recovered_pairs);
+  EXPECT_EQ(a.recovery_seed_bytes, b.recovery_seed_bytes);
+  EXPECT_EQ(a.exact, b.exact);
+}
+
+TEST(MaskingTest, ReportIsIdenticalWithoutPoolAndAtEveryThreadCount) {
+  // The vector is split into one range per pool runner; 17 words is fewer
+  // than the runners of every pool here, 1025 and 4097 split mid-block.
+  privacy::MaskOptions options;
+  options.enabled = true;
+  util::ThreadPool one(1), two(2), four(4);
+  for (std::size_t size : {std::size_t{17}, std::size_t{1025},
+                           std::size_t{4097}}) {
+    SCOPED_TRACE(size);
+    std::vector<fl::FlatParams> uploads = RandomUploads(7, size, 23 + size);
+    std::vector<const fl::FlatParams*> pointers;
+    for (const auto& upload : uploads) pointers.push_back(&upload);
+    pointers[2] = nullptr;
+    pointers[5] = nullptr;
+    privacy::MaskedSumReport serial =
+        privacy::SimulateMaskedAggregation(11, 4, 1, pointers, options);
+    EXPECT_TRUE(serial.exact);
+    EXPECT_EQ(serial.survivors, 5);
+    for (util::ThreadPool* pool : {&one, &two, &four}) {
+      SCOPED_TRACE(pool->num_threads());
+      ExpectSameReport(serial, privacy::SimulateMaskedAggregation(
+                                   11, 4, 1, pointers, options, pool));
+    }
+  }
+}
+
+TEST(MaskingTest, EveryDropoutSubsetUnmasksWithClosedFormCounts) {
+  constexpr int kMembers = 6;
+  std::vector<fl::FlatParams> uploads = RandomUploads(kMembers, 600, 24);
+  privacy::MaskOptions options;
+  options.enabled = true;
+  util::ThreadPool pool(2);
+  for (int dropped_mask = 0; dropped_mask < (1 << kMembers); ++dropped_mask) {
+    SCOPED_TRACE(dropped_mask);
+    std::vector<const fl::FlatParams*> pointers;
+    int dropped = 0;
+    for (int m = 0; m < kMembers; ++m) {
+      const bool drops = (dropped_mask >> m) & 1;
+      dropped += drops ? 1 : 0;
+      pointers.push_back(drops ? nullptr : &uploads[m]);
+    }
+    const int survivors = kMembers - dropped;
+    // Every pair with at least one survivor masks; each survivor-dropout
+    // pair dangles and is recovered from its 8-byte seed.
+    const std::int64_t pairs =
+        kMembers * (kMembers - 1) / 2 - dropped * (dropped - 1) / 2;
+    const std::int64_t recovered = survivors * dropped;
+    for (util::ThreadPool* runner : {static_cast<util::ThreadPool*>(nullptr),
+                                     &pool}) {
+      privacy::MaskedSumReport report = privacy::SimulateMaskedAggregation(
+          5, 2, 0, pointers, options, runner);
+      EXPECT_TRUE(report.exact);
+      EXPECT_EQ(report.survivors, survivors);
+      EXPECT_EQ(report.pairs, pairs);
+      EXPECT_EQ(report.recovered_pairs, recovered);
+      EXPECT_EQ(report.recovery_seed_bytes,
+                static_cast<std::uint64_t>(8 * recovered));
+    }
+  }
+}
+
+TEST(MaskingTest, MaskedUploadsHideEncodingsAndSumToTheDirectSum) {
+  constexpr int kMembers = 5;
+  constexpr std::size_t kSize = 1000;
+  std::vector<fl::FlatParams> uploads = RandomUploads(kMembers, kSize, 25);
+  privacy::MaskOptions options;
+  options.enabled = true;
+  std::vector<std::uint64_t> direct(kSize, 0), server(kSize, 0);
+  std::vector<std::uint64_t> masked(kSize);
+  for (int m = 0; m < kMembers; ++m) {
+    privacy::MaskedUploadRange(3, 1, 0, m, kMembers, uploads[m], options, 0,
+                               kSize, masked.data());
+    std::size_t hidden = 0;
+    for (std::size_t i = 0; i < kSize; ++i) {
+      const std::uint64_t plain =
+          privacy::FixedPointEncode(uploads[m][i], options.fixed_point_bits);
+      hidden += masked[i] != plain ? 1 : 0;
+      direct[i] += plain;
+      server[i] += masked[i];
+    }
+    EXPECT_GE(hidden, kSize - 1) << "member " << m;
+    // Counter-mode streams: any sub-range is drawn on its own and matches
+    // the same words of the full masked upload.
+    std::vector<std::uint64_t> slice(400);
+    privacy::MaskedUploadRange(3, 1, 0, m, kMembers, uploads[m], options, 300,
+                               slice.size(), slice.data());
+    EXPECT_TRUE(std::equal(slice.begin(), slice.end(), masked.begin() + 300));
+  }
+  // No dropouts: the members' masks cancel word for word in the sum.
+  EXPECT_EQ(server, direct);
 }
 
 // ---------------------------------------------------------------------------
