@@ -175,38 +175,32 @@ void FedCross::RunRound(int round) {
   }
 
   // Lines 7-10: local training of every middleware model — the K clients
-  // are independent, so they fan out across the client-training pool. A
-  // dropped client simply never uploads, so the server keeps its dispatched
-  // copy of that middleware model (result.params echoes the dispatch).
-  const std::vector<fl::LocalTrainResult>& results =
+  // are independent, so they fan out across the client-training pool.
+  std::span<const fl::LocalTrainResult> results =
       TrainClients(round, /*salt=*/0, jobs);
 
   PhaseScope phase(*this, RoundPhase::kAggregate);
-  // Copy the uploads out of the shared (recycled) results vector: the
+  // Copy the uploads out of the shared (recycled) result buffers: the
   // similarity-based selection reads all of them while the new generation
-  // is built. Copy-assign reuses last round's buffers.
+  // is built. Copy-assign reuses last round's buffers. Uploads are keyed by
+  // lane (result.slot), not position. A lane without an accepted upload (a
+  // dropout, deadline miss or rejection — or, in async mode, one still in
+  // flight) keeps its current middleware model; a stale async arrival is
+  // staleness-blended toward it (weight_scale 1 is a plain copy).
   uploaded_.resize(k);
-  if (config().async.mode == fl::RoundMode::kAsync) {
-    // Buffered arrivals are keyed by lane (result.slot), not position, and
-    // may be missing or stale. A lane without an arrival keeps its current
-    // middleware model; a stale arrival is staleness-blended toward it
-    // (weight_scale -> 1 recovers the fresh-upload behaviour exactly).
-    for (int i = 0; i < k; ++i) uploaded_[i] = middleware_[i];
-    for (const fl::LocalTrainResult& result : results) {
-      const int lane = result.slot;
-      FC_CHECK_GE(lane, 0);
-      FC_CHECK_LT(lane, k);
-      const double w = result.weight_scale;
-      if (w >= 1.0) {
-        uploaded_[lane] = result.params;
-      } else {
-        fl::flat_ops::LinearCombine(static_cast<float>(w), result.params,
-                                    static_cast<float>(1.0 - w),
-                                    middleware_[lane], uploaded_[lane]);
-      }
+  for (int i = 0; i < k; ++i) uploaded_[i] = middleware_[i];
+  for (const fl::LocalTrainResult& result : results) {
+    const int lane = result.slot;
+    FC_CHECK_GE(lane, 0);
+    FC_CHECK_LT(lane, k);
+    const double w = result.weight_scale;
+    if (w >= 1.0) {
+      uploaded_[lane] = result.params;
+    } else {
+      fl::flat_ops::LinearCombine(static_cast<float>(w), result.params,
+                                  static_cast<float>(1.0 - w),
+                                  middleware_[lane], uploaded_[lane]);
     }
-  } else {
-    for (int i = 0; i < k; ++i) uploaded_[i] = results[i].params;
   }
 
   // Lines 11-15: CoModelSel + CrossAggr.
@@ -240,7 +234,12 @@ void FedCross::RunRound(int round) {
   middleware_.swap(next_);
 }
 
-fl::FlatParams FedCross::GlobalParams() { return Average(middleware_); }
+// Sum-then-scale mean, the order the deployable model has always used:
+// AverageInto scales each term first, which would change its low bits and
+// so every FedCross accuracy evaluated from it.
+fl::FlatParams FedCross::GlobalParams() {
+  return fl::flat_ops::Mean(middleware_);
+}
 
 void FedCross::SaveExtraState(fl::StateWriter& writer) {
   writer.WriteU64(middleware_.size());

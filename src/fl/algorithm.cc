@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "fl/flat_ops.h"
 #include "fl/parallel.h"
@@ -110,13 +111,13 @@ std::uint64_t CodecSeed(std::uint64_t seed, int round, int salt, int slot) {
   return MixSeed(h + static_cast<std::uint64_t>(slot));
 }
 
-// Salt stride between async retry attempts of the same slot. Every in-round
+// Salt stride between retry attempts of the same slot. Every in-round
 // salt is tiny (FedCluster uses salt = cluster step < K), so attempt k's
 // streams — derived from salt + k * stride — can never collide with another
 // job's.
-constexpr int kAsyncRetrySaltStride = 1 << 16;
+constexpr int kRetrySaltStride = 1 << 16;
 
-// Local-work estimate for a job that never trained (sync deadline miss):
+// Local-work estimate for a job that never trained (deadline miss):
 // what FlClient::Train would have counted — epochs times per-epoch batches,
 // including the ragged tail batch.
 double NominalSteps(const TrainOptions& train, int num_samples) {
@@ -164,10 +165,6 @@ FlAlgorithm::FlAlgorithm(std::string name, AlgorithmConfig config,
       population_(config.population, data),
       test_(std::move(data.test)),
       rng_(config.seed) {
-  // Legacy shorthand: fold dropout_prob into the default fault profile.
-  if (config_.dropout_prob > 0.0 && config_.faults.profile.dropout_prob == 0.0) {
-    config_.faults.profile.dropout_prob = config_.dropout_prob;
-  }
   FC_CHECK(test_ != nullptr);
   FC_CHECK_GT(config_.clients_per_round, 0);
   FC_CHECK_LE(static_cast<std::int64_t>(config_.clients_per_round),
@@ -391,18 +388,15 @@ std::vector<std::int64_t> FlAlgorithm::SampleClients() {
   return std::vector<std::int64_t>(legacy.begin(), legacy.end());
 }
 
-const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
+std::span<const LocalTrainResult> FlAlgorithm::TrainClients(
     int round, int salt, const std::vector<ClientJob>& jobs) {
-  if (config_.async.mode == RoundMode::kAsync) {
-    return TrainClientsAsync(round, salt, jobs);
-  }
-  int count = static_cast<int>(jobs.size());
+  const int count = static_cast<int>(jobs.size());
   Metrics().client_jobs.Add(count);
-  // resize keeps surviving elements' params capacity from the last round.
-  results_.resize(count);
   if (static_cast<int>(wire_scratch_.size()) < count) {
     wire_scratch_.resize(count);
   }
+  if (results_.size() < jobs.size()) results_.resize(jobs.size());
+  outcomes_.resize(count);
   // Resolve every slot's client and residual entry on the calling thread
   // before the fan-out: the population cache and the state store are not
   // thread-safe, and both guarantee pointer stability until their next
@@ -419,124 +413,250 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
     residual_slots_[slot] =
         lossy ? &residual_store_.Touch(jobs[slot].client_id) : nullptr;
   }
-  auto train_slot = [&](int slot) {
-    util::Rng job_rng(ClientJobSeed(config_.seed, round, salt, slot));
-    // The fault stream is derived independently of the training stream, so
-    // fault draws can never perturb a surviving client's trajectory. The
-    // privacy stream is independent of all three, so DP noise never skews
-    // batch shuffling and DP runs stay thread-count invariant.
-    util::Rng fault_rng(FaultSeed(config_.seed, round, salt, slot));
-    util::Rng codec_rng(CodecSeed(config_.seed, round, salt, slot));
-    util::Rng privacy_rng(
-        privacy::PrivacySeed(config_.seed, round, salt, slot));
-    TrainClientJob(jobs[slot], *client_slots_[slot], residual_slots_[slot],
-                   job_rng, fault_rng, codec_rng, privacy_rng,
-                   config_.faults.round_deadline, wire_scratch_[slot],
-                   results_[slot]);
+
+  // Sync is the degenerate async schedule: one attempt per slot raced
+  // against the fault model's round deadline (no timeout, no retries), a
+  // buffer that is the whole cohort taken in slot order, and a clock that
+  // only observes. Async swaps the deadline for dispatch_timeout +
+  // max_retries and pops the in-flight heap until the buffer is full.
+  const AsyncOptions& async = config_.async;
+  const bool sync = async.mode == RoundMode::kSync;
+  const double round_deadline = sync ? config_.faults.round_deadline : 0.0;
+  const double timeout = sync ? 0.0 : async.dispatch_timeout;
+  const int max_retries = sync ? 0 : async.max_retries;
+  const double t_round = virtual_now_;
+  const std::int64_t version = model_version_;
+  const bool screen = config_.screening.Enabled();
+
+  // Dispatch every slot, running its whole timeout/retry chain to a
+  // terminal outcome on the worker: clients are simulations, so nothing
+  // actually waits — "in flight" is just an arrival timestamp. Each attempt
+  // derives its training / fault / codec / clock / privacy streams from
+  // `salt + attempt * stride`, making the outcome a pure function of
+  // (seed, round, salt, slot, attempt) — bit-identical across thread
+  // counts — with retry streams that cannot collide with other batches'.
+  auto dispatch_slot = [&](int slot) {
+    DispatchOutcome& out = outcomes_[slot];
+    out.attempts.clear();
+    out.retries = 0;
+    const ClientJob& job = jobs[slot];
+    ClockProfile profile =
+        DrawClockProfile(async.clock, config_.seed, job.client_id);
+    double t_dispatch = t_round;
+    for (int attempt = 0;; ++attempt) {
+      int attempt_salt = salt + attempt * kRetrySaltStride;
+      util::Rng job_rng(ClientJobSeed(config_.seed, round, attempt_salt, slot));
+      util::Rng fault_rng(FaultSeed(config_.seed, round, attempt_salt, slot));
+      util::Rng codec_rng(CodecSeed(config_.seed, round, attempt_salt, slot));
+      util::Rng clock_rng(ClockSeed(config_.seed, round, attempt_salt, slot));
+      util::Rng privacy_rng(
+          privacy::PrivacySeed(config_.seed, round, attempt_salt, slot));
+      LocalTrainResult& result = results_[slot];
+      TrainClientJob(job, *client_slots_[slot], residual_slots_[slot],
+                     job_rng, fault_rng, codec_rng, privacy_rng,
+                     round_deadline, wire_scratch_[slot], result);
+      result.client_id = job.client_id;
+      result.slot = slot;
+      result.dispatch_version = version;
+      double jitter = DrawJitter(async.clock, clock_rng);
+      double steps = static_cast<double>(result.num_steps);
+      double slowdown = result.slowdown;
+      if (result.fault == FaultKind::kStraggler) {
+        // The fault model timed the job out (only a sync round deadline
+        // does): it holds the barrier for the full budget — deadline x the
+        // fault-free compute time of the work it was sent — before the
+        // server gives up on it.
+        steps = NominalSteps(job.spec->options, result.num_samples);
+        slowdown = round_deadline;
+      }
+      double duration =
+          SimulatedDuration(profile, slowdown, steps, result.wire_bytes_down,
+                            result.wire_bytes_up, jitter);
+      // Dropout or deadline miss: the upload never happens.
+      const bool vanished = result.dropped;
+      // A dropout under a timeout is retried like a straggler: the server
+      // cannot tell a vanished device from a slow one — both just miss the
+      // deadline. Without a timeout the server notices the silence at the
+      // would-be transfer time.
+      const bool late = timeout > 0.0 && (vanished || duration > timeout);
+      DispatchAttempt log;
+      log.wire_down = result.wire_bytes_down;
+      log.wire_up = vanished ? 0 : result.wire_bytes_up;
+      log.uploaded = !vanished;
+      log.timed_out = late;
+      out.attempts.push_back(log);
+      if (!late && !vanished) {
+        // The upload arrives. Screen it now: the dispatched reference dies
+        // with this TrainClients call, and rejection is terminal (a
+        // Byzantine device is not worth a retry).
+        if (screen) {
+          util::Status verdict = ScreenUpload(*job.init_params, result.params,
+                                              config_.screening);
+          if (!verdict.ok()) {
+            result.params = *job.init_params;
+            result.dropped = true;
+            result.fault = FaultKind::kRejected;
+          }
+        }
+        out.arrival = t_dispatch + duration;
+        return;
+      }
+      double t_fail = late ? t_dispatch + timeout : t_dispatch + duration;
+      if (late && attempt < max_retries) {
+        ++out.retries;
+        t_dispatch = t_fail;
+        continue;
+      }
+      if (late && !vanished) {
+        // Terminal timeout of a device that did train: degrade like a
+        // deadline straggler.
+        result.params = *job.init_params;
+        result.dropped = true;
+        result.fault = FaultKind::kStraggler;
+      }
+      out.arrival = t_fail;
+      return;
+    }
   };
   {
     PhaseScope phase(*this, RoundPhase::kTrain);
     util::ThreadPool* pool = AcquireFlPool();
     if (pool != nullptr && count > 1) {
-      pool->ParallelFor(count, train_slot);
+      pool->ParallelFor(count, dispatch_slot);
     } else {
-      for (int slot = 0; slot < count; ++slot) train_slot(slot);
+      for (int slot = 0; slot < count; ++slot) dispatch_slot(slot);
     }
   }
-  // Bookkeeping and upload screening on the calling thread, in job order,
-  // so accounting is race-free and independent of the parallel schedule.
+
   PhaseScope phase(*this, RoundPhase::kScreen);
-  bool screen = config_.screening.Enabled();
-  double makespan = 0.0;
+  // Fold the dispatch logs serially in slot order — comm accounting, wasted
+  // bytes (every non-final attempt bought nothing; so did the final one
+  // when the slot terminally failed), timeout/retry tallies. Async then
+  // pushes the terminal event onto the in-flight heap.
+  auto after = [](const PendingUpload& a, const PendingUpload& b) {
+    return a.arrival != b.arrival ? a.arrival > b.arrival : a.seq > b.seq;
+  };
+  const std::uint64_t raw = CommTracker::FloatBytes(model_size_);
   for (int slot = 0; slot < count; ++slot) {
-    LocalTrainResult& result = results_[slot];
-    result.client_id = jobs[slot].client_id;
-    result.slot = slot;
-    result.dispatch_version = model_version_;
-    comm_.AddDownload(CommTracker::FloatBytes(model_size_),
-                      result.wire_bytes_down);
-    // Sync clock observation: the barrier waits for the slowest slot, so
-    // the round's virtual makespan is the max simulated duration. A dropout
-    // costs only its dispatch transfer; a deadline-missing straggler holds
-    // the barrier for the full budget (deadline x the fault-free compute
-    // time of the work it was sent) before the server gives up on it.
-    {
-      ClockProfile profile = DrawClockProfile(
-          config_.async.clock, config_.seed, jobs[slot].client_id);
-      util::Rng clock_rng(ClockSeed(config_.seed, round, salt, slot));
-      double jitter = DrawJitter(config_.async.clock, clock_rng);
-      double steps = static_cast<double>(result.num_steps);
-      double slowdown = result.slowdown;
-      if (result.fault == FaultKind::kDropout) {
-        steps = 0.0;
-      } else if (result.fault == FaultKind::kStraggler) {
-        steps = NominalSteps(jobs[slot].spec->options, result.num_samples);
-        slowdown = config_.faults.round_deadline;
+    DispatchOutcome& out = outcomes_[slot];
+    int attempts = static_cast<int>(out.attempts.size());
+    for (int a = 0; a < attempts; ++a) {
+      const DispatchAttempt& log = out.attempts[a];
+      comm_.AddDownload(raw, log.wire_down);
+      if (log.uploaded) comm_.AddUpload(raw, log.wire_up);
+      if (log.timed_out) ++fault_stats_.timeouts;
+      if (a + 1 < attempts || results_[slot].dropped) {
+        comm_.AddWasted(log.uploaded ? raw * 2 : raw,
+                        log.wire_down + (log.uploaded ? log.wire_up : 0));
       }
-      makespan = std::max(
-          makespan,
-          SimulatedDuration(profile, slowdown, steps, result.wire_bytes_down,
-                            result.wire_bytes_up, jitter));
     }
-    if (result.fault == FaultKind::kDropout) ++fault_stats_.dropouts;
-    if (result.fault == FaultKind::kStraggler) ++fault_stats_.stragglers;
+    fault_stats_.retries += out.retries;
+    if (!sync) {
+      inflight_.push_back(PendingUpload{out.arrival, dispatch_seq_++,
+                                        std::move(results_[slot])});
+      std::push_heap(inflight_.begin(), inflight_.end(), after);
+    }
+  }
+
+  // Consume terminal outcomes as they reach the server: advance the clock,
+  // tally faults / clips / staleness / loss, and swap accepted uploads to
+  // the front of results_. In sync mode slot s only ever swaps with an
+  // already-consumed dropped slot before it, so uploads keep slot order.
+  const bool masking = config_.secure_agg.Enabled();
+  std::size_t accepted = 0;
+  mask_indices_.clear();
+  auto consume = [&](LocalTrainResult& result, double arrival) {
+    virtual_now_ = std::max(virtual_now_, arrival);
+    // Corruption and clipping are counted when the upload reaches the
+    // server, whether or not screening then discarded it; a dropout or a
+    // deadline miss never uploaded at all.
+    if (result.upload_corrupt && (result.fault == FaultKind::kCorrupted ||
+                                  result.fault == FaultKind::kRejected)) {
+      ++fault_stats_.corrupted;
+    }
+    if (result.dp_clipped &&
+        (!result.dropped || result.fault == FaultKind::kRejected)) {
+      ++privacy_stats_.clipped;
+    }
+    // The masking cohort is the second mode policy. Sync: the dispatch
+    // cohort, every slot. Async: the popped arrivals plus the rejected ones
+    // — dropouts and terminal stragglers never uploaded a masked sum.
+    // Dropped members (-1) are the ones whose masks recovery reconstructs.
+    // Indices, not pointers: results_ may reallocate.
+    if (masking && (sync || !result.dropped ||
+                    result.fault == FaultKind::kRejected)) {
+      mask_indices_.push_back(result.dropped ? -1
+                                             : static_cast<int>(accepted));
+    }
     if (result.dropped) {
-      // the device never uploads; its dispatch bought nothing
-      comm_.AddWasted(CommTracker::FloatBytes(model_size_),
-                      result.wire_bytes_down);
-      continue;
+      if (result.fault == FaultKind::kDropout) ++fault_stats_.dropouts;
+      if (result.fault == FaultKind::kStraggler) ++fault_stats_.stragglers;
+      if (result.fault == FaultKind::kRejected) ++fault_stats_.rejected;
+      return false;
     }
-    comm_.AddUpload(CommTracker::FloatBytes(model_size_),
-                    result.wire_bytes_up);
-    if (result.fault == FaultKind::kCorrupted) ++fault_stats_.corrupted;
-    // Counted at upload receipt, before the screening verdict: a clipped
-    // upload the screener then rejects was still clipped on-device.
-    if (result.dp_clipped) ++privacy_stats_.clipped;
-    if (screen) {
-      util::Status verdict = ScreenUpload(*jobs[slot].init_params,
-                                          result.params, config_.screening);
-      if (!verdict.ok()) {
-        // Degrade exactly like a dropout: the contribution is discarded and
-        // params echo the dispatched model (so FedCross keeps its
-        // middleware copy). Both legs of the round trip bought nothing.
-        result.params = *jobs[slot].init_params;
-        result.dropped = true;
-        result.fault = FaultKind::kRejected;
-        ++fault_stats_.rejected;
-        comm_.AddWasted(CommTracker::FloatBytes(model_size_) * 2,
-                        result.wire_bytes_down + result.wire_bytes_up);
-        continue;
-      }
+    const int tau = static_cast<int>(model_version_ - result.dispatch_version);
+    result.staleness = tau;
+    result.weight_scale =
+        StalenessWeight(async.staleness, async.staleness_exponent, tau);
+    round_staleness_sum_ += tau;
+    ++round_staleness_count_;
+    round_staleness_max_ = std::max(round_staleness_max_, tau);
+    // A sync upload is never stale (tau = 0, weight 1), so only async
+    // arrivals feed the staleness histogram.
+    if (!sync && obs::MetricsEnabled()) {
+      Metrics().staleness.Observe(static_cast<double>(tau));
     }
     Metrics().uploads_accepted.Add(1);
     round_loss_sum_ += result.mean_loss;
     ++round_loss_count_;
-  }
-  // Secure-aggregation overlay over the dispatch cohort: members whose
-  // upload survived screening contribute; dropouts, deadline stragglers and
-  // rejections are the dropped members whose masks recovery reconstructs.
-  if (config_.secure_agg.Enabled() && count > 0) {
-    mask_slots_.resize(count);
+    if (accepted == results_.size()) results_.emplace_back();
+    if (&result != &results_[accepted]) std::swap(results_[accepted], result);
+    ++accepted;
+    return true;
+  };
+  if (sync) {
+    // The barrier waits for every slot: take them all in slot order.
     for (int slot = 0; slot < count; ++slot) {
-      mask_slots_[slot] =
-          results_[slot].dropped ? nullptr : &results_[slot].params;
+      consume(results_[slot], outcomes_[slot].arrival);
+    }
+  } else {
+    // Collect arrivals in (arrival, seq) order until `buffer_size` usable
+    // uploads land or nothing is in flight. Dropped / rejected arrivals
+    // free their buffer slot, so a straggler-heavy cohort degrades the
+    // round instead of stalling it.
+    const int want = async.buffer_size > 0 ? async.buffer_size : count;
+    int collected = 0;
+    while (collected < want && !inflight_.empty()) {
+      std::pop_heap(inflight_.begin(), inflight_.end(), after);
+      PendingUpload event = std::move(inflight_.back());
+      inflight_.pop_back();
+      if (consume(event.result, event.arrival)) ++collected;
+    }
+  }
+
+  // Secure-aggregation overlay over this aggregation event's cohort. Pair
+  // masks key on cohort position, so duplicate client ids (the same client
+  // sampled by overlapping async rounds) still cancel exactly.
+  if (!mask_indices_.empty()) {
+    mask_slots_.clear();
+    for (int index : mask_indices_) {
+      mask_slots_.push_back(index < 0 ? nullptr : &results_[index].params);
     }
     ApplyMaskingOverlay(round, salt, mask_slots_);
   }
-  // One noised aggregation event enters the RDP ledger at this batch's
-  // actual sampling rate (FedCluster's per-cluster batches compose as
-  // separate events, exactly as the mechanism fires).
+  // Every dispatched job ran the DP mechanism once, so one noised event at
+  // this batch's actual sampling rate enters the RDP ledger — regardless of
+  // when its upload is collected (FedCluster's per-cluster batches compose
+  // as separate events, exactly as the mechanism fires).
   if (config_.dp.Noised() && count > 0) {
     accountant_.AccumulateRound(
         std::min(1.0, static_cast<double>(count) /
                           static_cast<double>(num_clients())),
         config_.dp.noise_multiplier);
   }
-  // The barrier releases when the slowest slot reports; the aggregation
-  // that follows is one global-model version.
-  virtual_now_ += makespan;
+  // The aggregation the caller performs on these results is one version.
   ++model_version_;
-  return results_;
+  return {results_.data(), accepted};
 }
 
 void FlAlgorithm::ApplyMaskingOverlay(
@@ -571,7 +691,8 @@ void FlAlgorithm::TrainClientJob(const ClientJob& job, const FlClient& client,
 
   // Dropout / straggler timeout: the device received the model (the
   // dispatch frame still crossed the wire) but its upload never reaches the
-  // round. params echo the dispatch so FedCross keeps its middleware copy.
+  // round. params echo the dispatch: never aggregated, but a buffered async
+  // event is checkpointed with a full-size model.
   if (decision.dropped || decision.timed_out) {
     result.params = *job.init_params;  // copy-assign recycles the buffer
     result.num_samples = client.num_samples();
@@ -636,258 +757,6 @@ void FlAlgorithm::TrainClientJob(const ClientJob& job, const FlClient& client,
   result.weight_scale = 1.0;
   result.slowdown = decision.duration;
   result.upload_corrupt = decision.corrupt;
-}
-
-const std::vector<LocalTrainResult>& FlAlgorithm::TrainClientsAsync(
-    int round, int salt, const std::vector<ClientJob>& jobs) {
-  int count = static_cast<int>(jobs.size());
-  Metrics().client_jobs.Add(count);
-  if (static_cast<int>(wire_scratch_.size()) < count) {
-    wire_scratch_.resize(count);
-  }
-  population_.BeginBatch();
-  residual_store_.BeginBatch();
-  const bool lossy = comm::SchemeIsLossy(config_.codec.scheme);
-  client_slots_.resize(count);
-  residual_slots_.resize(count);
-  for (int slot = 0; slot < count; ++slot) {
-    FC_CHECK_GE(jobs[slot].client_id, 0);
-    FC_CHECK_LT(jobs[slot].client_id, num_clients());
-    client_slots_[slot] = &population_.Client(jobs[slot].client_id);
-    residual_slots_[slot] =
-        lossy ? &residual_store_.Touch(jobs[slot].client_id) : nullptr;
-  }
-  async_outcomes_.resize(count);
-
-  const AsyncOptions& async = config_.async;
-  const double timeout = async.dispatch_timeout;
-  const double t_round = virtual_now_;
-  const std::int64_t version = model_version_;
-  const bool screen = config_.screening.Enabled();
-
-  // Dispatch every slot, running its whole timeout/retry chain to a
-  // terminal outcome on the worker: clients are simulations, so nothing
-  // actually waits — "in flight" is just an arrival timestamp. Each attempt
-  // derives its training / fault / codec / clock streams from
-  // `salt + attempt * stride`, making the outcome a pure function of
-  // (seed, round, salt, slot, attempt) — bit-identical across thread
-  // counts — with retry streams that cannot collide with other batches'.
-  auto dispatch_slot = [&](int slot) {
-    AsyncOutcome& out = async_outcomes_[slot];
-    out.attempts.clear();
-    out.retries = 0;
-    const ClientJob& job = jobs[slot];
-    ClockProfile profile =
-        DrawClockProfile(async.clock, config_.seed, job.client_id);
-    double t_dispatch = t_round;
-    for (int attempt = 0;; ++attempt) {
-      int attempt_salt = salt + attempt * kAsyncRetrySaltStride;
-      util::Rng job_rng(ClientJobSeed(config_.seed, round, attempt_salt, slot));
-      util::Rng fault_rng(FaultSeed(config_.seed, round, attempt_salt, slot));
-      util::Rng codec_rng(CodecSeed(config_.seed, round, attempt_salt, slot));
-      util::Rng clock_rng(ClockSeed(config_.seed, round, attempt_salt, slot));
-      util::Rng privacy_rng(
-          privacy::PrivacySeed(config_.seed, round, attempt_salt, slot));
-      LocalTrainResult& result = out.result;
-      // The engine owns the deadline race (round_deadline = 0): stragglers
-      // train slowly and land late instead of being dropped at a barrier.
-      TrainClientJob(job, *client_slots_[slot], residual_slots_[slot],
-                     job_rng, fault_rng, codec_rng, privacy_rng,
-                     /*round_deadline=*/0.0, wire_scratch_[slot], result);
-      result.client_id = job.client_id;
-      result.slot = slot;
-      result.dispatch_version = version;
-      double jitter = DrawJitter(async.clock, clock_rng);
-      double duration = SimulatedDuration(
-          profile, result.slowdown, static_cast<double>(result.num_steps),
-          result.wire_bytes_down, result.wire_bytes_up, jitter);
-      const bool vanished = result.dropped;  // dropout: no upload, ever
-      // A dropout under a timeout is retried like a straggler: the server
-      // cannot tell a vanished device from a slow one — both just miss the
-      // deadline. Without a timeout the server notices the silence at the
-      // would-be transfer time.
-      const bool late = timeout > 0.0 && (vanished || duration > timeout);
-      AsyncAttempt log;
-      log.wire_down = result.wire_bytes_down;
-      log.wire_up = vanished ? 0 : result.wire_bytes_up;
-      log.uploaded = !vanished;
-      log.timed_out = late;
-      out.attempts.push_back(log);
-      if (!late && !vanished) {
-        // The upload arrives. Screen it now: the dispatched reference dies
-        // with this TrainClients call, and rejection is terminal (a
-        // Byzantine device is not worth a retry).
-        if (screen) {
-          util::Status verdict = ScreenUpload(*job.init_params, result.params,
-                                              config_.screening);
-          if (!verdict.ok()) {
-            result.params = *job.init_params;
-            result.dropped = true;
-            result.fault = FaultKind::kRejected;
-          }
-        }
-        out.arrival = t_dispatch + duration;
-        return;
-      }
-      double t_fail = late ? t_dispatch + timeout : t_dispatch + duration;
-      if (late && attempt < async.max_retries) {
-        ++out.retries;
-        t_dispatch = t_fail;
-        continue;
-      }
-      if (late && !vanished) {
-        // Terminal timeout of a device that did train: degrade like a sync
-        // straggler — params echo the dispatch, which every consumer
-        // already handles.
-        result.params = *job.init_params;
-        result.dropped = true;
-        result.fault = FaultKind::kStraggler;
-      }
-      out.arrival = t_fail;
-      return;
-    }
-  };
-  {
-    PhaseScope phase(*this, RoundPhase::kTrain);
-    util::ThreadPool* pool = AcquireFlPool();
-    if (pool != nullptr && count > 1) {
-      pool->ParallelFor(count, dispatch_slot);
-    } else {
-      for (int slot = 0; slot < count; ++slot) dispatch_slot(slot);
-    }
-  }
-
-  PhaseScope phase(*this, RoundPhase::kScreen);
-  // Fold the dispatch logs serially in slot order — comm accounting, wasted
-  // bytes (every non-final attempt bought nothing; so did the final one
-  // when the slot terminally failed), timeout/retry tallies — then push the
-  // terminal event onto the in-flight heap.
-  auto after = [](const PendingUpload& a, const PendingUpload& b) {
-    return a.arrival != b.arrival ? a.arrival > b.arrival : a.seq > b.seq;
-  };
-  for (int slot = 0; slot < count; ++slot) {
-    AsyncOutcome& out = async_outcomes_[slot];
-    int attempts = static_cast<int>(out.attempts.size());
-    for (int a = 0; a < attempts; ++a) {
-      const AsyncAttempt& log = out.attempts[a];
-      comm_.AddDownload(CommTracker::FloatBytes(model_size_), log.wire_down);
-      if (log.uploaded) {
-        comm_.AddUpload(CommTracker::FloatBytes(model_size_), log.wire_up);
-      }
-      if (log.timed_out) ++fault_stats_.timeouts;
-      if (a + 1 < attempts || out.result.dropped) {
-        std::uint64_t raw = CommTracker::FloatBytes(model_size_);
-        comm_.AddWasted(log.uploaded ? raw * 2 : raw,
-                        log.wire_down + (log.uploaded ? log.wire_up : 0));
-      }
-    }
-    fault_stats_.retries += out.retries;
-    inflight_.push_back(
-        PendingUpload{out.arrival, dispatch_seq_++, std::move(out.result)});
-    std::push_heap(inflight_.begin(), inflight_.end(), after);
-  }
-
-  // Collect arrivals in (arrival, seq) order — advancing the virtual clock
-  // — until `buffer_size` usable uploads land or the sky empties. Dropped /
-  // rejected arrivals free their buffer slot: they are tallied and skipped
-  // without counting against the buffer, so a straggler-heavy cohort
-  // degrades the round instead of stalling it.
-  const int want = async.buffer_size > 0 ? async.buffer_size : count;
-  results_.clear();
-  mask_indices_.clear();
-  int collected = 0;
-  while (collected < want && !inflight_.empty()) {
-    std::pop_heap(inflight_.begin(), inflight_.end(), after);
-    PendingUpload event = std::move(inflight_.back());
-    inflight_.pop_back();
-    virtual_now_ = std::max(virtual_now_, event.arrival);
-    LocalTrainResult& result = event.result;
-    // Corruption is counted when the mangled upload reaches the server,
-    // whether or not screening then discarded it.
-    if (result.upload_corrupt && (result.fault == FaultKind::kCorrupted ||
-                                  result.fault == FaultKind::kRejected)) {
-      ++fault_stats_.corrupted;
-    }
-    // Clipping mirrors corruption: tallied when the clipped upload reaches
-    // the server. A rejected arrival did reach it (screening then discarded
-    // it); a dropout or terminal straggler never uploaded at all.
-    if (result.dp_clipped &&
-        (!result.dropped || result.fault == FaultKind::kRejected)) {
-      ++privacy_stats_.clipped;
-    }
-    if (result.dropped) {
-      if (result.fault == FaultKind::kDropout) ++fault_stats_.dropouts;
-      if (result.fault == FaultKind::kStraggler) ++fault_stats_.stragglers;
-      if (result.fault == FaultKind::kRejected) ++fault_stats_.rejected;
-      // A rejected arrival is a dropped member of this collection event's
-      // masking cohort: its pair masks dangle and recovery reconstructs
-      // them. (Dropouts and terminal stragglers never uploaded a masked
-      // sum, so they were never in the cohort.)
-      if (config_.secure_agg.Enabled() &&
-          result.fault == FaultKind::kRejected) {
-        mask_indices_.push_back(-1);
-      }
-      continue;
-    }
-    const int tau = static_cast<int>(model_version_ - result.dispatch_version);
-    result.staleness = tau;
-    result.weight_scale =
-        StalenessWeight(async.staleness, async.staleness_exponent, tau);
-    round_staleness_sum_ += tau;
-    ++round_staleness_count_;
-    round_staleness_max_ = std::max(round_staleness_max_, tau);
-    if (obs::MetricsEnabled()) {
-      Metrics().staleness.Observe(static_cast<double>(tau));
-    }
-    Metrics().uploads_accepted.Add(1);
-    round_loss_sum_ += result.mean_loss;
-    ++round_loss_count_;
-    if (config_.secure_agg.Enabled()) {
-      mask_indices_.push_back(static_cast<int>(results_.size()));
-    }
-    results_.push_back(std::move(result));
-    ++collected;
-  }
-  // Secure-aggregation overlay over this collection event's cohort — the
-  // arrivals popped above, in pop order. Indices (not pointers) were
-  // recorded because results_ reallocates as it grows; pair masks key on
-  // cohort position, so duplicate client ids (the same client sampled by
-  // overlapping rounds) still cancel exactly.
-  if (config_.secure_agg.Enabled() && !mask_indices_.empty()) {
-    mask_slots_.clear();
-    mask_slots_.reserve(mask_indices_.size());
-    for (int index : mask_indices_) {
-      mask_slots_.push_back(index < 0 ? nullptr : &results_[index].params);
-    }
-    ApplyMaskingOverlay(round, salt, mask_slots_);
-  }
-  // Every dispatched job ran the DP mechanism once, so one noised event at
-  // this dispatch batch's sampling rate enters the ledger — regardless of
-  // when its upload is collected.
-  if (config_.dp.Noised() && count > 0) {
-    accountant_.AccumulateRound(
-        std::min(1.0, static_cast<double>(count) /
-                          static_cast<double>(num_clients())),
-        config_.dp.noise_multiplier);
-  }
-  // The aggregation the caller performs on these results is one version.
-  ++model_version_;
-  return results_;
-}
-
-FlatParams FlAlgorithm::WeightedAverage(const std::vector<FlatParams>& models,
-                                        const std::vector<double>& weights) {
-  FC_CHECK_EQ(models.size(), weights.size());
-  std::vector<const FlatParams*> pointers(models.size());
-  for (std::size_t m = 0; m < models.size(); ++m) pointers[m] = &models[m];
-  FlatParams result;
-  WeightedAverageInto(pointers, weights, result);
-  return result;
-}
-
-FlatParams FlAlgorithm::Average(const std::vector<FlatParams>& models) {
-  FC_CHECK(!models.empty());
-  return flat_ops::Mean(models);
 }
 
 void FlAlgorithm::WeightedAverageInto(

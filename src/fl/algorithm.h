@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,11 +20,11 @@
 #include "fl/model_pool.h"
 #include "fl/parallel.h"  // SetFlThreads / FlThreads
 #include "fl/population.h"
-#include "fl/privacy.h"
 #include "fl/state_store.h"
 #include "fl/types.h"
 #include "models/model_zoo.h"
 #include "privacy/accountant.h"
+#include "privacy/dp.h"
 #include "privacy/masking.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -36,10 +37,6 @@ struct AlgorithmConfig {
   TrainOptions train;
   std::uint64_t seed = 42;
   int eval_batch_size = 100;
-
-  // Legacy shorthand for faults.profile.dropout_prob (kept so existing
-  // callers keep working); merged into `faults` at construction.
-  double dropout_prob = 0.0;
 
   // Fault injection (see fl/faults.h): per-client dropout / straggler /
   // corrupted-upload profiles, drawn from a dedicated fault RNG stream so
@@ -61,7 +58,7 @@ struct AlgorithmConfig {
   // --fl_threads; when noise_multiplier > 0 the subsampled-Gaussian RDP
   // accountant composes eps(delta) across rounds at the actual sampling
   // rate K/N. clip_norm <= 0 disables.
-  DpOptions dp;
+  privacy::DpOptions dp;
 
   // Secure-aggregation-style pairwise masking (see privacy/masking.h): the
   // server sum is recomputed in a fixed-point domain under seed-derived
@@ -276,30 +273,26 @@ class FlAlgorithm {
     const ClientTrainSpec* spec = nullptr;
   };
 
-  // Runs every job's local training — in parallel across the shared pool
-  // when SetFlThreads allows — and returns the results in job order. Each
-  // job trains under an independent Rng seeded deterministically from
-  // (config.seed, round, salt, slot), so the outcome is bit-identical
-  // regardless of thread count or schedule. `salt` distinguishes multiple
-  // batches issued within one round (e.g. FedCluster's per-cluster steps).
-  // Model down/up traffic and the round's mean client loss are accounted on
-  // the calling thread, in job order.
+  // Dispatches every job against the current model version — local
+  // training fans out across the shared pool when SetFlThreads allows — and
+  // returns the uploads the server accepted for this aggregation. Each job
+  // trains under independent streams seeded from (config.seed, round, salt,
+  // slot), so the outcome is bit-identical regardless of thread count or
+  // schedule. `salt` distinguishes multiple batches issued within one round
+  // (e.g. FedCluster's per-cluster steps). Comm, fault and privacy
+  // accounting run on the calling thread in a fixed order.
   //
-  // Under RoundMode::kAsync this delegates to the buffered event engine:
-  // every job is dispatched against the current model version, and the
-  // returned results are the next `buffer_size` *arrivals* in virtual-time
-  // order — possibly stragglers from earlier rounds, possibly fewer than
-  // jobs.size(), never positionally aligned with `jobs`. Async consumers
-  // must key on result.client_id / result.slot and weight by
-  // result.num_samples * result.weight_scale (sync keeps slot order,
-  // client_id == jobs[slot].client_id and weight_scale == 1.0, so the
-  // same consumer code is bit-identical to the historical integer weight).
+  // The result holds accepted uploads only: dropouts, deadline misses and
+  // screened-out uploads never appear, so it may be shorter than `jobs`,
+  // and under RoundMode::kAsync it may carry arrivals dispatched by earlier
+  // rounds. Consumers key on result.client_id / result.slot and weight by
+  // result.num_samples * result.weight_scale (1.0 for a fresh upload).
   //
-  // Returns a reference to an internal results vector that is recycled on
-  // the next TrainClients call: read (or copy) what you need before then.
+  // Returns a view of internal result buffers that are recycled on the next
+  // TrainClients call: read (or copy) what you need before then.
   // Round-over-round buffer reuse is what keeps the steady-state round free
   // of tensor/params heap allocations.
-  const std::vector<LocalTrainResult>& TrainClients(
+  std::span<const LocalTrainResult> TrainClients(
       int round, int salt, const std::vector<ClientJob>& jobs);
 
   // The factory model's initial parameters (captured once at construction);
@@ -310,15 +303,10 @@ class FlAlgorithm {
   // FedGen's generator training against the global model).
   ModelPool& pool() { return pool_; }
 
-  // Sample-count-weighted average of client models (FedAvg aggregation).
-  static FlatParams WeightedAverage(const std::vector<FlatParams>& models,
-                                    const std::vector<double>& weights);
-  // Unweighted mean.
-  static FlatParams Average(const std::vector<FlatParams>& models);
-
-  // In-place variants over pointers into the results vector: `out` is
-  // resized (capacity-retaining) and overwritten, so aggregation adds no
-  // steady-state allocations and no params copies.
+  // Sample-count-weighted / unweighted mean of client models, over pointers
+  // into the results vector: `out` is resized (capacity-retaining) and
+  // overwritten, so aggregation adds no steady-state allocations and no
+  // params copies.
   static void WeightedAverageInto(const std::vector<const FlatParams*>& models,
                                   const std::vector<double>& weights,
                                   FlatParams& out);
@@ -360,10 +348,10 @@ class FlAlgorithm {
   // own rngs so jobs are order- and thread-independent. `client` and
   // `residual` are resolved per slot on the coordinating thread before the
   // parallel fan-out (population cache and state store are not
-  // thread-safe). `round_deadline` is the sync straggler budget (the async
-  // engine passes 0: its own dispatch_timeout replaces it, so stragglers
-  // train slowly and land late instead of being dropped by the fault
-  // model). Writes into `result`, recycling its buffers.
+  // thread-safe). `round_deadline` is the fault model's straggler budget
+  // (0 in async mode: dispatch_timeout replaces it, so stragglers train
+  // slowly and land late instead of being dropped by the fault model).
+  // Writes into `result`, recycling its buffers.
   void TrainClientJob(const ClientJob& job, const FlClient& client,
                       FlatParams* residual, util::Rng& rng,
                       util::Rng& fault_rng, util::Rng& codec_rng,
@@ -380,7 +368,7 @@ class FlAlgorithm {
   void ApplyMaskingOverlay(int round, int salt,
                            const std::vector<const FlatParams*>& uploads);
 
-  // One resolved dispatch whose outcome the (async) server has not yet
+  // One resolved async dispatch whose outcome the server has not yet
   // consumed. Clients are simulations, so the whole dispatch — training,
   // screening, every timeout retry — executes inside the TrainClients call
   // that issued it; "in flight" is purely an arrival timestamp on the
@@ -393,31 +381,20 @@ class FlAlgorithm {
     LocalTrainResult result;
   };
 
-  // Per-slot async dispatch scratch (recycled): the terminal outcome plus
-  // one comm log entry per attempt, folded into the trackers in slot order
-  // on the coordinating thread after the parallel fan-out.
-  struct AsyncAttempt {
+  // Per-slot dispatch scratch (recycled): one comm log entry per attempt,
+  // folded into the trackers in slot order on the coordinating thread after
+  // the parallel fan-out, plus the terminal outcome's arrival time.
+  struct DispatchAttempt {
     std::uint64_t wire_down = 0;
     std::uint64_t wire_up = 0;
     bool uploaded = false;   // an upload frame crossed the wire
     bool timed_out = false;  // abandoned at the per-dispatch deadline
   };
-  struct AsyncOutcome {
-    std::vector<AsyncAttempt> attempts;
-    LocalTrainResult result;
+  struct DispatchOutcome {
+    std::vector<DispatchAttempt> attempts;
     double arrival = 0.0;
     int retries = 0;
   };
-
-  // The buffered event engine behind TrainClients in RoundMode::kAsync:
-  // dispatches every job (running retry chains to termination), pushes the
-  // terminal events onto the in-flight min-heap, then pops arrivals in
-  // (arrival, seq) order — advancing the virtual clock — until buffer_size
-  // usable uploads are collected (drops and rejections free their slot and
-  // are tallied in passing). Increments model_version_ for the aggregation
-  // that follows.
-  const std::vector<LocalTrainResult>& TrainClientsAsync(
-      int round, int salt, const std::vector<ClientJob>& jobs);
 
   // Deterministic fingerprint of (name, seed, K, N, model size, train
   // options); a checkpoint only restores into a matching configuration.
@@ -446,7 +423,11 @@ class FlAlgorithm {
   util::Rng rng_;
   CommTracker comm_;
   MetricsHistory history_;
-  std::vector<LocalTrainResult> results_;  // recycled across TrainClients
+  // Per-slot results: dispatch writes slot s's terminal result into
+  // results_[s], and consume swaps the accepted ones to the front (the view
+  // TrainClients returns). Never shrinks, so every buffer recycles.
+  std::vector<LocalTrainResult> results_;
+  std::vector<DispatchOutcome> outcomes_;  // per-slot, recycled
   std::vector<WireScratch> wire_scratch_;  // per-slot, recycled
   // Per-client error-feedback residuals for the lossy codecs, keyed by
   // client id in a spillable store (untouched clients cost nothing). A
@@ -466,8 +447,8 @@ class FlAlgorithm {
   // aggregation event, at that event's actual sampling rate. Serialised in
   // FCRS v5 so a resumed run's eps(delta) is bit-exact.
   privacy::RdpAccountant accountant_;
-  // Masking-overlay cohort scratch, recycled: per-member upload pointers
-  // (sync) and popped-arrival result indices (async; -1 = dropped member).
+  // Masking-overlay cohort scratch, recycled: per-member results_ indices
+  // (-1 = dropped member) and the upload pointers built from them.
   std::vector<const FlatParams*> mask_slots_;
   std::vector<int> mask_indices_;
   int completed_rounds_ = 0;
@@ -481,7 +462,6 @@ class FlAlgorithm {
   // checkpoint serialises the array verbatim, so a resumed heap pops in
   // exactly the original order.
   std::vector<PendingUpload> inflight_;
-  std::vector<AsyncOutcome> async_outcomes_;  // per-slot scratch, recycled
   double virtual_now_ = 0.0;
   std::int64_t model_version_ = 0;
   std::int64_t dispatch_seq_ = 0;

@@ -45,17 +45,16 @@ struct LocalTrainResult {
   std::uint64_t wire_bytes_down = 0;
   std::uint64_t wire_bytes_up = 0;
   // True if the round produced no usable upload (dropout, straggler
-  // timeout, or server-side rejection): params echo the dispatched model
-  // and the client is excluded from aggregation.
+  // timeout, or server-side rejection): params echo the dispatched model,
+  // and TrainClients never hands the result to an algorithm.
   bool dropped = false;
   // What, if anything, went wrong (see fl/faults.h).
   FaultKind fault = FaultKind::kNone;
 
   // --- Filled by FlAlgorithm around Train (never by FlClient itself) ---
-  // Which client and dispatch slot produced this result. In sync mode slot
-  // s holds job s's result (client_id == jobs[s].client_id); in async mode
-  // results arrive buffer-ordered, so algorithms must key on these instead
-  // of positional job metadata.
+  // Which client and dispatch slot produced this result. TrainClients
+  // returns accepted uploads only (async ones in arrival order), so
+  // algorithms must key on these instead of positional job metadata.
   std::int64_t client_id = -1;
   int slot = 0;
   // Async-engine provenance: the global model version this job was
@@ -72,12 +71,12 @@ struct LocalTrainResult {
   double slowdown = 1.0;
   // The upload left the device mangled (fl/faults.h corruption). Kept
   // separate from `fault` because a later screening rejection overwrites
-  // it, and the async engine still counts the corruption at arrival.
+  // it, and the server still counts the corruption at arrival.
   bool upload_corrupt = false;
   // The DP mechanism (privacy/dp.h) scaled this upload's update down to the
-  // clipping bound. Counted when the upload reaches the server — at the
-  // sync screen loop, or at arrival for a buffered async upload (so it
-  // rides the in-flight checkpoint table, FCRS v5).
+  // clipping bound. Counted when the upload reaches the server, so a
+  // buffered async upload carries it in the in-flight checkpoint table
+  // (FCRS v5).
   bool dp_clipped = false;
 };
 

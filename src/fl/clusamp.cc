@@ -137,17 +137,15 @@ void CluSamp::RunRound(int round) {
                  &spec};
     }
   }
-  const std::vector<LocalTrainResult>& results =
+  std::span<const LocalTrainResult> results =
       TrainClients(round, /*salt=*/0, jobs);
 
   std::vector<const FlatParams*> local_models;
   std::vector<double> weights;
   FlatParams update;  // reused scratch across clusters
-  // Keyed on result.client_id: async arrivals may belong to an earlier
-  // cohort (sync keeps client_id == jobs[c].client_id slot-for-slot).
+  // Keyed on result.client_id, not the position: only accepted uploads come
+  // back, and async arrivals may belong to an earlier cohort.
   for (const LocalTrainResult& result : results) {
-    if (result.dropped) continue;  // device failed before uploading
-
     // Store the (normalised) update direction for the next clustering.
     flat_ops::Subtract(result.params, global_, update);
     if (Normalize(update)) client_updates_.Touch(result.client_id) = update;

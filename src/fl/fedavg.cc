@@ -27,7 +27,7 @@ void FedAvg::RunRound(int round) {
       jobs[i] = {selected[i], &global_, &spec};
     }
   }
-  const std::vector<LocalTrainResult>& results =
+  std::span<const LocalTrainResult> results =
       TrainClients(round, /*salt=*/0, jobs);
 
   // Aggregate over pointers into the (recycled) results: no params copies.
@@ -36,9 +36,8 @@ void FedAvg::RunRound(int round) {
   local_models.reserve(results.size());
   weights.reserve(results.size());
   for (const LocalTrainResult& result : results) {
-    if (result.dropped) continue;  // device failed before uploading
-    // Staleness-scaled sample weight: scale is exactly 1.0 in sync mode, so
-    // the product is bit-identical to the historical integer weight.
+    // Staleness-scaled sample weight: scale is exactly 1.0 for a fresh
+    // upload, so the product is bit-identical to the integer weight.
     weights.push_back(result.num_samples * result.weight_scale);
     local_models.push_back(&result.params);
   }

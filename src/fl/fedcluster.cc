@@ -53,13 +53,12 @@ void FedCluster::RunRound(int round) {
         jobs[i] = {cluster[picks[i]], &global_, &spec};
       }
     }
-    const std::vector<LocalTrainResult>& results =
+    std::span<const LocalTrainResult> results =
         TrainClients(round, /*salt=*/step, jobs);
 
     std::vector<const FlatParams*> local_models;
     std::vector<double> weights;
     for (const LocalTrainResult& result : results) {
-      if (result.dropped) continue;
       weights.push_back(result.num_samples * result.weight_scale);
       local_models.push_back(&result.params);
     }

@@ -145,7 +145,7 @@ void FedGen::RunRound(int round) {
       jobs[i] = {selected[i], &global_, &spec};
     }
   }
-  const std::vector<LocalTrainResult>& results =
+  std::span<const LocalTrainResult> results =
       TrainClients(round, /*salt=*/0, jobs);
 
   std::vector<const FlatParams*> local_models;
@@ -160,7 +160,6 @@ void FedGen::RunRound(int round) {
     }
   }
   for (const LocalTrainResult& result : results) {
-    if (result.dropped) continue;  // device failed before uploading
     weights.push_back(result.num_samples * result.weight_scale);
     local_models.push_back(&result.params);
 

@@ -39,17 +39,15 @@ void Scaffold::RunRound(int round) {
       jobs[i] = {selected[i], &global_, &specs[i]};
     }
   }
-  const std::vector<LocalTrainResult>& results =
+  std::span<const LocalTrainResult> results =
       TrainClients(round, /*salt=*/0, jobs);
 
   std::vector<const FlatParams*> local_models;
   std::vector<double> weights;
   FlatParams c_delta_sum(global_.size(), 0.0f);
-  // Keyed on result.client_id, not the slot: async arrivals may belong to
-  // an earlier round's cohort (sync keeps client_id == selected[i], so this
-  // is the historical walk bit-for-bit).
+  // Keyed on result.client_id, not the position: only accepted uploads come
+  // back, and async arrivals may belong to an earlier round's cohort.
   for (const LocalTrainResult& result : results) {
-    if (result.dropped) continue;  // no upload, no variate update
     // Variate traffic: one variate down (c), one up (c_i+). Variates move
     // outside the model codec, so wire == raw for this side channel.
     comm().AddDownload(CommTracker::FloatBytes(model_size()),

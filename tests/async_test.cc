@@ -29,6 +29,7 @@
 #include "fl/parallel.h"
 #include "fl/scaffold.h"
 #include "nn/linear.h"
+#include "test_util.h"
 
 namespace fedcross::fl {
 namespace {
@@ -144,11 +145,7 @@ std::unique_ptr<FlAlgorithm> MakeAlgorithm(const std::string& name,
 const char* kAllAlgorithms[] = {"FedAvg",  "FedProx",    "SCAFFOLD", "FedGen",
                                 "CluSamp", "FedCluster", "FedCross"};
 
-void ExpectBitIdentical(const FlatParams& a, const FlatParams& b) {
-  ASSERT_EQ(a.size(), b.size());
-  if (a.empty()) return;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-}
+using testing::ExpectParamsBitEqual;
 
 // Restores the FL pool size when a test that varies it exits (including on
 // assertion failure), so later tests see the default again.
@@ -271,7 +268,7 @@ TEST(SyncClockTest, HeterogeneousClockCannotPerturbTraining) {
     std::unique_ptr<FlAlgorithm> clocked = MakeAlgorithm(name, clocked_config);
     clocked->Run(3, /*eval_every=*/1);
 
-    ExpectBitIdentical(clean->GlobalParams(), clocked->GlobalParams());
+    ExpectParamsBitEqual(clean->GlobalParams(), clocked->GlobalParams());
     EXPECT_GT(clocked->virtual_now(), 0.0);
     EXPECT_NE(clocked->virtual_now(), clean->virtual_now());
     EXPECT_EQ(clocked->inflight_dispatches(), 0);
@@ -294,7 +291,7 @@ TEST(SyncClockTest, VirtualTimeIsThreadCountInvariant) {
   pooled->Run(3, /*eval_every=*/1);
 
   EXPECT_EQ(sequential->virtual_now(), pooled->virtual_now());
-  ExpectBitIdentical(sequential->GlobalParams(), pooled->GlobalParams());
+  ExpectParamsBitEqual(sequential->GlobalParams(), pooled->GlobalParams());
 }
 
 // --------------------------------------------------------------------------
@@ -317,7 +314,7 @@ TEST(AsyncTest, TrajectoryIsThreadCountInvariant) {
     std::unique_ptr<FlAlgorithm> pooled = MakeAlgorithm(name, AsyncConfig());
     pooled->Run(4, /*eval_every=*/1);
 
-    ExpectBitIdentical(sequential->GlobalParams(), pooled->GlobalParams());
+    ExpectParamsBitEqual(sequential->GlobalParams(), pooled->GlobalParams());
     EXPECT_EQ(sequential->virtual_now(), pooled->virtual_now());
     EXPECT_EQ(sequential->model_version(), pooled->model_version());
     EXPECT_EQ(sequential->inflight_dispatches(),
@@ -338,7 +335,7 @@ TEST(AsyncTest, RerunsAreBitIdentical) {
   first->Run(4, /*eval_every=*/1);
   std::unique_ptr<FlAlgorithm> second = MakeAlgorithm("FedAvg", AsyncConfig());
   second->Run(4, /*eval_every=*/1);
-  ExpectBitIdentical(first->GlobalParams(), second->GlobalParams());
+  ExpectParamsBitEqual(first->GlobalParams(), second->GlobalParams());
   EXPECT_EQ(first->virtual_now(), second->virtual_now());
 }
 
@@ -371,7 +368,7 @@ TEST(AsyncTest, TimeoutsRetryAndCountWaste) {
   EXPECT_GT(algo->comm().total_wasted_bytes(), 0u);
   EXPECT_GT(algo->comm().total_wire_wasted_bytes(), 0u);
   // Nothing ever lands: the global model never moves off its init.
-  ExpectBitIdentical(algo->GlobalParams(),
+  ExpectParamsBitEqual(algo->GlobalParams(),
                      MakeAlgorithm("FedAvg", config)->GlobalParams());
 }
 
@@ -444,7 +441,7 @@ TEST(AsyncCheckpointTest, MidBufferResumeIsBitIdentical) {
     EXPECT_EQ(resumed->inflight_dispatches(), inflight_at_save);
     resumed->Run(6, /*eval_every=*/1);
 
-    ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+    ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
     EXPECT_EQ(full->virtual_now(), resumed->virtual_now());
     EXPECT_EQ(full->model_version(), resumed->model_version());
     EXPECT_EQ(full->inflight_dispatches(), resumed->inflight_dispatches());
@@ -481,7 +478,7 @@ TEST(AsyncCheckpointTest, V3DowngradeStillLoads) {
   EXPECT_EQ(resumed->inflight_dispatches(), 0);
   EXPECT_EQ(resumed->comm().total_wasted_bytes(), 0u);
   resumed->Run(5, /*eval_every=*/1);
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
   std::remove(path.c_str());
 }
 

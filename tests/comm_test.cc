@@ -14,6 +14,7 @@
 #include "comm/wire.h"
 #include "models/model_zoo.h"
 #include "nn/sequential.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace fedcross::comm {
@@ -72,11 +73,7 @@ std::vector<float> Perturbed(const std::vector<float>& reference,
   return out;
 }
 
-void ExpectBitIdentical(const std::vector<float>& a,
-                        const std::vector<float>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-}
+using testing::ExpectParamsBitEqual;
 
 // Rewrites the trailing CRC so body/header mutations exercise the decoder's
 // structural checks instead of tripping the CRC gate first.
@@ -154,7 +151,7 @@ TEST(WireRoundTripTest, DispatchIsExactForEveryZooArchitecture) {
     std::vector<float> decoded;
     util::Status status = DecodeDispatch(frame, shapes, decoded);
     ASSERT_TRUE(status.ok()) << status.ToString();
-    ExpectBitIdentical(flat, decoded);
+    ExpectParamsBitEqual(flat, decoded);
   }
 }
 
@@ -178,7 +175,7 @@ TEST(WireRoundTripTest, IdentityAndDeltaUploadsAreExactForEveryZooArch) {
       std::vector<float> decoded;
       util::Status status = DecodeUpload(frame, reference, shapes, decoded);
       ASSERT_TRUE(status.ok()) << status.ToString();
-      ExpectBitIdentical(trained, decoded);
+      ExpectParamsBitEqual(trained, decoded);
     }
   }
 }
@@ -203,7 +200,7 @@ TEST(WireRoundTripTest, DeltaIsLosslessOnExtremeBitPatterns) {
   util::Status status = DecodeUpload(frame, reference, shapes, decoded);
   ASSERT_TRUE(status.ok()) << status.ToString();
   // NaN compares unequal to itself, so losslessness means equal *bits*.
-  ExpectBitIdentical(trained, decoded);
+  ExpectParamsBitEqual(trained, decoded);
 }
 
 TEST(WireRoundTripTest, DeltaCompressesSmallUpdates) {
@@ -335,7 +332,7 @@ TEST(WireQuantizeTest, AllZeroUpdateProducesZeroScaleAndExactDecode) {
     Frame frame = EncodeSimpleUpload(scheme, trained, reference, shapes);
     std::vector<float> decoded;
     ASSERT_TRUE(DecodeUpload(frame, reference, shapes, decoded).ok());
-    ExpectBitIdentical(reference, decoded);
+    ExpectParamsBitEqual(reference, decoded);
   }
 }
 

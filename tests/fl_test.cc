@@ -299,17 +299,20 @@ TEST(FedAvgTest, GlobalIsWeightedAverageOfClientModels) {
 }
 
 TEST(WeightedAverageTest, Arithmetic) {
-  // Exposed via a FedAvg-derived helper: test through public behaviour of
-  // Average on a 2-model list using a tiny subclass.
+  // The protected static aggregation kernels, exposed through a tiny
+  // FedAvg subclass.
   struct Probe : FedAvg {
-    using FedAvg::Average;
+    using FedAvg::AverageInto;
     using FedAvg::FedAvg;
-    using FedAvg::WeightedAverage;
+    using FedAvg::WeightedAverageInto;
   };
-  std::vector<FlatParams> models = {{1.0f, 2.0f}, {3.0f, 6.0f}};
-  EXPECT_EQ(Probe::Average(models), (FlatParams{2.0f, 4.0f}));
-  EXPECT_EQ(Probe::WeightedAverage(models, {3.0, 1.0}),
-            (FlatParams{1.5f, 3.0f}));
+  FlatParams a = {1.0f, 2.0f};
+  FlatParams b = {3.0f, 6.0f};
+  FlatParams out;
+  Probe::AverageInto({&a, &b}, out);
+  EXPECT_EQ(out, (FlatParams{2.0f, 4.0f}));
+  Probe::WeightedAverageInto({&a, &b}, {3.0, 1.0}, out);
+  EXPECT_EQ(out, (FlatParams{1.5f, 3.0f}));
 }
 
 // ---------------------------------------------------------------- FedProx

@@ -6,7 +6,6 @@
 // equal GlobalParams() after 5 rounds.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "fl/algorithm.h"
 #include "fl/fedavg.h"
 #include "nn/linear.h"
+#include "test_util.h"
 
 namespace fedcross::fl {
 namespace {
@@ -70,7 +70,7 @@ AlgorithmConfig ToyConfig() {
   config.seed = 17;
   // Nonzero dropout so the per-job dropout draw is exercised too: a
   // schedule-dependent draw would desynchronise the two runs immediately.
-  config.dropout_prob = 0.2;
+  config.faults.profile.dropout_prob = 0.2;
   return config;
 }
 
@@ -79,11 +79,7 @@ struct FlThreadsGuard {
   ~FlThreadsGuard() { SetFlThreads(1); }
 };
 
-void ExpectBitIdentical(const FlatParams& a, const FlatParams& b) {
-  ASSERT_EQ(a.size(), b.size());
-  if (a.empty()) return;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-}
+using testing::ExpectParamsBitEqual;
 
 FlatParams RunFedAvg(int threads, int rounds) {
   SetFlThreads(threads);
@@ -118,14 +114,14 @@ TEST(ParallelDeterminismTest, FedAvgIsThreadCountInvariant) {
   FlThreadsGuard guard;
   FlatParams sequential = RunFedAvg(/*threads=*/1, /*rounds=*/5);
   FlatParams parallel = RunFedAvg(/*threads=*/4, /*rounds=*/5);
-  ExpectBitIdentical(sequential, parallel);
+  ExpectParamsBitEqual(sequential, parallel);
 }
 
 TEST(ParallelDeterminismTest, FedCrossIsThreadCountInvariant) {
   FlThreadsGuard guard;
   FlatParams sequential = RunFedCross(/*threads=*/1, /*rounds=*/5);
   FlatParams parallel = RunFedCross(/*threads=*/4, /*rounds=*/5);
-  ExpectBitIdentical(sequential, parallel);
+  ExpectParamsBitEqual(sequential, parallel);
 }
 
 TEST(ParallelDeterminismTest, EvaluationIsThreadCountInvariant) {
@@ -162,7 +158,7 @@ TEST(ParallelDeterminismTest, OddThreadCountMatchesToo) {
   FlThreadsGuard guard;
   FlatParams three = RunFedCross(/*threads=*/3, /*rounds=*/3);
   FlatParams four = RunFedCross(/*threads=*/4, /*rounds=*/3);
-  ExpectBitIdentical(three, four);
+  ExpectParamsBitEqual(three, four);
 }
 
 // A config that exercises every fault class at once: dropout, straggler
@@ -172,7 +168,6 @@ TEST(ParallelDeterminismTest, OddThreadCountMatchesToo) {
 // bit-identical across thread counts.
 AlgorithmConfig FaultyConfig() {
   AlgorithmConfig config = ToyConfig();
-  config.dropout_prob = 0.0;
   config.faults.profile.dropout_prob = 0.1;
   config.faults.profile.straggler_prob = 0.3;
   config.faults.profile.slowdown_min = 2.0;
@@ -201,8 +196,8 @@ TEST(ParallelDeterminismTest, FaultInjectionIsThreadCountInvariant) {
   FlatParams one = run(1);
   FlatParams two = run(2);
   FlatParams four = run(4);
-  ExpectBitIdentical(one, two);
-  ExpectBitIdentical(one, four);
+  ExpectParamsBitEqual(one, two);
+  ExpectParamsBitEqual(one, four);
 }
 
 TEST(ParallelDeterminismTest, FaultyFedCrossIsThreadCountInvariant) {
@@ -219,8 +214,8 @@ TEST(ParallelDeterminismTest, FaultyFedCrossIsThreadCountInvariant) {
   FlatParams one = run(1);
   FlatParams two = run(2);
   FlatParams four = run(4);
-  ExpectBitIdentical(one, two);
-  ExpectBitIdentical(one, four);
+  ExpectParamsBitEqual(one, two);
+  ExpectParamsBitEqual(one, four);
 }
 
 // --------------------------------------------------------------------------
@@ -245,8 +240,8 @@ TEST(ParallelDeterminismTest, DpNoiseIsThreadCountInvariant) {
   FlatParams one = run(1);
   FlatParams two = run(2);
   FlatParams four = run(4);
-  ExpectBitIdentical(one, two);
-  ExpectBitIdentical(one, four);
+  ExpectParamsBitEqual(one, two);
+  ExpectParamsBitEqual(one, four);
 }
 
 TEST(ParallelDeterminismTest, DpFedCrossWithFaultsIsThreadCountInvariant) {
@@ -267,8 +262,8 @@ TEST(ParallelDeterminismTest, DpFedCrossWithFaultsIsThreadCountInvariant) {
   FlatParams one = run(1);
   FlatParams two = run(2);
   FlatParams four = run(4);
-  ExpectBitIdentical(one, two);
-  ExpectBitIdentical(one, four);
+  ExpectParamsBitEqual(one, two);
+  ExpectParamsBitEqual(one, four);
 }
 
 // --------------------------------------------------------------------------
@@ -300,7 +295,7 @@ TEST(ParallelDeterminismTest, EveryCodecSchemeIsThreadCountInvariant) {
     SCOPED_TRACE(comm::SchemeName(scheme));
     FlatParams sequential = RunFedCrossWithCodec(1, /*rounds=*/4, scheme);
     FlatParams parallel = RunFedCrossWithCodec(4, /*rounds=*/4, scheme);
-    ExpectBitIdentical(sequential, parallel);
+    ExpectParamsBitEqual(sequential, parallel);
   }
 }
 
@@ -312,7 +307,7 @@ TEST(ParallelDeterminismTest, DeltaCodecTrainsIdenticallyToIdentity) {
       RunFedCrossWithCodec(2, /*rounds=*/4, comm::Scheme::kIdentity);
   FlatParams delta =
       RunFedCrossWithCodec(2, /*rounds=*/4, comm::Scheme::kDelta);
-  ExpectBitIdentical(identity, delta);
+  ExpectParamsBitEqual(identity, delta);
 }
 
 }  // namespace

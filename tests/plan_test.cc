@@ -285,8 +285,8 @@ AlgorithmConfig ToyConfig(ExecMode exec) {
   config.train.lr = 0.05f;
   config.train.exec = exec;
   config.seed = 17;
-  // Nonzero dropout exercises the dropout echo path in plan mode.
-  config.dropout_prob = 0.2;
+  // Nonzero dropout exercises the dropped-slot path in plan mode.
+  config.faults.profile.dropout_prob = 0.2;
   return config;
 }
 
@@ -294,13 +294,7 @@ struct FlThreadsGuard {
   ~FlThreadsGuard() { SetFlThreads(1); }
 };
 
-void ExpectBitIdentical(const FlatParams& a, const FlatParams& b,
-                        const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  if (a.empty()) return;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
-      << what;
-}
+using testing::ExpectParamsBitEqual;
 
 std::unique_ptr<FlAlgorithm> MakeAlgorithm(const std::string& name,
                                            ExecMode exec, bool bf16 = false) {
@@ -349,8 +343,8 @@ TEST(PlanExecutionTest, AllAlgorithmsBitIdenticalAcrossExecAndThreads) {
     FlatParams layers1 = RunToy(algo, ExecMode::kLayers, 1, 3);
     FlatParams plan1 = RunToy(algo, ExecMode::kPlan, 1, 3);
     FlatParams plan4 = RunToy(algo, ExecMode::kPlan, 4, 3);
-    ExpectBitIdentical(layers1, plan1, std::string(algo) + ": plan@1");
-    ExpectBitIdentical(layers1, plan4, std::string(algo) + ": plan@4");
+    ExpectParamsBitEqual(layers1, plan1, std::string(algo) + ": plan@1");
+    ExpectParamsBitEqual(layers1, plan4, std::string(algo) + ": plan@4");
   }
 }
 
@@ -405,7 +399,7 @@ TEST(PlanExecutionTest, ModelZooBitIdentical) {
   for (ZooCase& z : zoo) {
     FlatParams layers = RunImageFedAvg(z.factory, ExecMode::kLayers, 2);
     FlatParams plan = RunImageFedAvg(z.factory, ExecMode::kPlan, 2);
-    ExpectBitIdentical(layers, plan, z.name);
+    ExpectParamsBitEqual(layers, plan, z.name);
   }
 }
 
@@ -467,8 +461,8 @@ void CheckThreadAndModeInvariance(const models::ModelFactory& factory,
         RunFedAvgMode(factory, data, ExecMode::kPlan, 1, mode, 2);
     FlatParams plan4 =
         RunFedAvgMode(factory, data, ExecMode::kPlan, 4, mode, 2);
-    ExpectBitIdentical(layers1, plan1, tag + ": plan@1");
-    ExpectBitIdentical(layers1, plan4, tag + ": plan@4");
+    ExpectParamsBitEqual(layers1, plan1, tag + ": plan@1");
+    ExpectParamsBitEqual(layers1, plan4, tag + ": plan@4");
   }
 }
 
@@ -775,7 +769,7 @@ TEST(PlanBf16Test, ThreadInvariantAndWithinBf16RoundingOfFp32) {
   // trajectory (every arena store rounds to nearest-even) that reproduces
   // exactly across --fl_threads; it is NOT bit-identical to fp32, which is
   // why the flag perturbs the config fingerprint.
-  ExpectBitIdentical(b1, b4, "bf16: plan@1 vs plan@4");
+  ExpectParamsBitEqual(b1, b4, "bf16: plan@1 vs plan@4");
   ASSERT_EQ(fp32.size(), b1.size());
   double diff2 = 0.0, ref2 = 0.0;
   for (std::size_t i = 0; i < fp32.size(); ++i) {
@@ -870,7 +864,7 @@ TEST(PlanExecutionTest, CheckpointResumesAcrossExecModes) {
   ASSERT_TRUE(resumed.LoadCheckpoint(path).ok());
   resumed.Run(4, 1);
 
-  ExpectBitIdentical(full.GlobalParams(), resumed.GlobalParams(),
+  ExpectParamsBitEqual(full.GlobalParams(), resumed.GlobalParams(),
                      "layers run vs layers->plan resume");
   std::remove(path);
 }

@@ -25,6 +25,7 @@
 #include "privacy/accountant.h"
 #include "privacy/dp.h"
 #include "privacy/masking.h"
+#include "test_util.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -574,8 +575,7 @@ TEST(MaskingOverlayTest, MaskedRunsBitIdenticalAcrossAllSixAlgorithms) {
 
     fl::FlatParams a = plain->GlobalParams();
     fl::FlatParams b = masked->GlobalParams();
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
+    testing::ExpectParamsBitEqual(a, b);
 
     const fl::PrivacyStats& stats = masked->privacy_stats();
     EXPECT_GT(stats.mask_pairs, 0);
@@ -616,8 +616,7 @@ TEST(MaskingOverlayTest, ComposesWithLossyCodecAndScreening) {
 
   fl::FlatParams a = plain->GlobalParams();
   fl::FlatParams b = masked->GlobalParams();
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
+  testing::ExpectParamsBitEqual(a, b);
   EXPECT_GT(masked->privacy_stats().mask_pairs, 0);
 }
 
@@ -684,8 +683,7 @@ TEST(CheckpointV5Test, EpsilonSurvivesKillAndResumeBitExactly) {
             full->privacy_stats().mask_pairs);
   fl::FlatParams a = full->GlobalParams();
   fl::FlatParams b = resumed->GlobalParams();
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
+  testing::ExpectParamsBitEqual(a, b);
   std::remove(path.c_str());
 }
 

@@ -30,6 +30,7 @@
 #include "fl/fedgen.h"
 #include "fl/scaffold.h"
 #include "nn/linear.h"
+#include "test_util.h"
 
 namespace fedcross::fl {
 namespace {
@@ -127,11 +128,7 @@ std::unique_ptr<FlAlgorithm> MakeAlgorithm(const std::string& name,
 const char* kAllAlgorithms[] = {"FedAvg",  "FedProx",    "SCAFFOLD", "FedGen",
                                 "CluSamp", "FedCluster", "FedCross"};
 
-void ExpectBitIdentical(const FlatParams& a, const FlatParams& b) {
-  ASSERT_EQ(a.size(), b.size());
-  if (a.empty()) return;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-}
+using testing::ExpectParamsBitEqual;
 
 bool AllFinite(const FlatParams& params) {
   for (float x : params) {
@@ -197,7 +194,7 @@ TEST(FaultStreamTest, NeverFiringProfileIsBitIdenticalToDisabled) {
   FedAvg b(harmless, MakeToyFederated(8, 40, 4, 41), LinearFactory(4));
   for (int r = 0; r < 3; ++r) b.RunRound(r);
 
-  ExpectBitIdentical(a.GlobalParams(), b.GlobalParams());
+  ExpectParamsBitEqual(a.GlobalParams(), b.GlobalParams());
   EXPECT_EQ(b.fault_stats().dropouts, 0);
   EXPECT_EQ(b.fault_stats().stragglers, 0);
 }
@@ -229,17 +226,18 @@ TEST(FaultStreamTest, OneClientsDropoutDoesNotPerturbSurvivors) {
   ProbeAlgorithm probe(faulty, MakeToyFederated(8, 40, 4, 41),
                        LinearFactory(4));
   make_jobs(probe, jobs, spec);
-  const std::vector<LocalTrainResult>& results = probe.TrainClients(0, 0, jobs);
+  std::span<const LocalTrainResult> results = probe.TrainClients(0, 0, jobs);
 
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_TRUE(results[1].dropped);
-  EXPECT_EQ(results[1].fault, FaultKind::kDropout);
-  // The dropped slot echoes the dispatched model.
-  ExpectBitIdentical(results[1].params, probe.InitialParams());
-  // Every surviving client trained exactly as in the clean run.
-  for (int i : {0, 2, 3}) {
+  // Only accepted uploads come back: slot 1 is absent, and every surviving
+  // client trained exactly as in the clean run.
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(probe.fault_stats().dropouts, 1);
+  const int survivors[] = {0, 2, 3};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(results[i].slot, survivors[i]);
+    EXPECT_EQ(results[i].client_id, survivors[i]);
     EXPECT_FALSE(results[i].dropped);
-    ExpectBitIdentical(results[i].params, baseline[i]);
+    ExpectParamsBitEqual(results[i].params, baseline[survivors[i]]);
   }
 }
 
@@ -254,7 +252,7 @@ TEST(FaultModelTest, StragglersMissTheDeadline) {
   fedavg.RunRound(0);
   // Every client timed out, so the round aggregated nothing.
   EXPECT_EQ(fedavg.fault_stats().stragglers, 4);
-  ExpectBitIdentical(fedavg.GlobalParams(), before);
+  ExpectParamsBitEqual(fedavg.GlobalParams(), before);
 }
 
 TEST(FaultModelTest, OverProvisionDispatchesExtraClients) {
@@ -266,6 +264,85 @@ TEST(FaultModelTest, OverProvisionDispatchesExtraClients) {
   // K + over_provision = 6 dispatches (and, fault-free, 6 uploads).
   EXPECT_EQ(fedavg.comm().total_download_bytes(), 6 * per_model);
   EXPECT_EQ(fedavg.comm().total_upload_bytes(), 6 * per_model);
+}
+
+// Exact sync-round accounting under every fault kind at once: dropouts,
+// deadline stragglers, NaN uploads the screener rejects, a DP clip every
+// trained upload exceeds, and secure-aggregation masking with recovery.
+// Each tally follows from the fault stream and the survivor pattern, never
+// from float values, so the constants hold on any ISA and thread count.
+struct SyncTallies {
+  FaultStats faults;
+  std::uint64_t raw_down = 0;
+  std::uint64_t raw_up = 0;
+  std::uint64_t raw_wasted = 0;
+  PrivacyStats privacy;
+  std::int64_t model_version = 0;
+};
+
+SyncTallies RunPinnedSyncRounds(const std::string& name, int threads) {
+  AlgorithmConfig config = ToyConfig();
+  config.faults.profile.dropout_prob = 0.2;
+  config.faults.profile.straggler_prob = 0.3;
+  config.faults.round_deadline = 5.0;  // slowdowns in [2, 8]: some miss it
+  config.faults.profile.corrupt_prob = 0.25;
+  config.faults.profile.corruption = CorruptionKind::kNanInject;
+  config.screening.check_finite = true;
+  config.dp.clip_norm = 1e-6f;  // every trained update exceeds it
+  config.secure_agg.enabled = true;
+  SetFlThreads(threads);
+  std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm(name, config);
+  algo->Run(/*rounds=*/4, /*eval_every=*/4);
+  SetFlThreads(0);
+  SyncTallies tallies;
+  tallies.faults = algo->fault_stats();
+  tallies.raw_down = algo->comm().total_download_bytes();
+  tallies.raw_up = algo->comm().total_upload_bytes();
+  tallies.raw_wasted = algo->comm().total_wasted_bytes();
+  tallies.privacy = algo->privacy_stats();
+  tallies.model_version = algo->model_version();
+  return tallies;
+}
+
+void ExpectTallies(const SyncTallies& got, const SyncTallies& want) {
+  EXPECT_EQ(got.faults.dropouts, want.faults.dropouts);
+  EXPECT_EQ(got.faults.stragglers, want.faults.stragglers);
+  EXPECT_EQ(got.faults.corrupted, want.faults.corrupted);
+  EXPECT_EQ(got.faults.rejected, want.faults.rejected);
+  EXPECT_EQ(got.faults.timeouts, want.faults.timeouts);
+  EXPECT_EQ(got.faults.retries, want.faults.retries);
+  EXPECT_EQ(got.raw_down, want.raw_down);
+  EXPECT_EQ(got.raw_up, want.raw_up);
+  EXPECT_EQ(got.raw_wasted, want.raw_wasted);
+  EXPECT_EQ(got.privacy.clipped, want.privacy.clipped);
+  EXPECT_EQ(got.privacy.mask_pairs, want.privacy.mask_pairs);
+  EXPECT_EQ(got.privacy.mask_recoveries, want.privacy.mask_recoveries);
+  EXPECT_EQ(got.model_version, want.model_version);
+}
+
+TEST(SyncAccountingTest, TalliesArePinned) {
+  // Model: Linear(4, 2) = 10 floats = 40 raw bytes per transfer. 16
+  // dispatches; 2 dropouts + 1 deadline straggler never upload; 4 NaN
+  // uploads are rejected; the 13 uploads that reached the server were all
+  // clipped, and each dangling mask costs 8 revealed-seed bytes upstream.
+  SyncTallies want;
+  want.faults.dropouts = 2;
+  want.faults.stragglers = 1;
+  want.faults.corrupted = 4;
+  want.faults.rejected = 4;
+  want.raw_down = 16 * 40;
+  want.raw_up = 13 * 40 + 13 * 8;
+  want.raw_wasted = 3 * 40 + 4 * 80;
+  want.privacy.clipped = 13;
+  want.privacy.mask_pairs = 20;
+  want.privacy.mask_recoveries = 13;
+  want.model_version = 4;
+  for (const char* name : {"FedAvg", "FedCross"}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(name) + " @ " + std::to_string(threads));
+      ExpectTallies(RunPinnedSyncRounds(name, threads), want);
+    }
+  }
 }
 
 TEST(FaultModelTest, ParseRoundTrips) {
@@ -615,7 +692,7 @@ TEST(CheckpointTest, ResumeIsBitIdenticalForEveryAlgorithm) {
     resumed->Run(5, /*eval_every=*/1);
 
     EXPECT_EQ(resumed->completed_rounds(), 5);
-    ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+    ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
     ExpectSameHistory(full->history(), resumed->history());
     EXPECT_EQ(full->comm().total_upload_bytes(),
               resumed->comm().total_upload_bytes());
@@ -648,7 +725,7 @@ TEST(CheckpointTest, ResumeUnderFaultsIsBitIdentical) {
   ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
   resumed->Run(6, /*eval_every=*/1);
 
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
   ExpectSameHistory(full->history(), resumed->history());
   EXPECT_EQ(full->fault_stats().dropouts, resumed->fault_stats().dropouts);
   EXPECT_EQ(full->fault_stats().corrupted, resumed->fault_stats().corrupted);
@@ -746,7 +823,7 @@ TEST(CheckpointTest, ResumeUnderLossyCodecIsBitIdentical) {
   ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
   resumed->Run(6, /*eval_every=*/1);
 
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
   ExpectSameHistory(full->history(), resumed->history());
   EXPECT_EQ(full->comm().total_wire_upload_bytes(),
             resumed->comm().total_wire_upload_bytes());
@@ -841,7 +918,7 @@ TEST(CheckpointTest, Version1CheckpointStillLoads) {
   EXPECT_EQ(resumed->comm().total_upload_bytes(), total_up);
   EXPECT_EQ(resumed->comm().total_wire_upload_bytes(), total_up);
   resumed->Run(4, /*eval_every=*/1);
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
   ExpectSameHistory(full->history(), resumed->history());
   std::remove(path.c_str());
 }

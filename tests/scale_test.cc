@@ -25,6 +25,7 @@
 #include "fl/scaffold.h"
 #include "fl/state_store.h"
 #include "nn/linear.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace fedcross::fl {
@@ -101,11 +102,7 @@ struct FlThreadsGuard {
   ~FlThreadsGuard() { SetFlThreads(1); }
 };
 
-void ExpectBitIdentical(const FlatParams& a, const FlatParams& b) {
-  ASSERT_EQ(a.size(), b.size());
-  if (a.empty()) return;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-}
+using testing::ExpectParamsBitEqual;
 
 // Builds each of the repo's algorithms over the given config + federation.
 using ServerFactory = std::function<std::unique_ptr<FlAlgorithm>(
@@ -241,7 +238,7 @@ TEST(ScaleTest, VirtualPopulationIsBitIdenticalToResident) {
         resident->RunRound(r);
         virtualized->RunRound(r);
       }
-      ExpectBitIdentical(resident->GlobalParams(),
+      ExpectParamsBitEqual(resident->GlobalParams(),
                          virtualized->GlobalParams());
       // Resident holds all N; virtual holds only the cohort the cache has
       // not yet aged out.
@@ -339,7 +336,7 @@ TEST(ScaleTest, SpillPressureDoesNotChangeTraining) {
     for (int r = 0; r < 4; ++r) scaffold.RunRound(r);
     return scaffold.GlobalParams();
   };
-  ExpectBitIdentical(run(/*max_resident=*/0), run(/*max_resident=*/1));
+  ExpectParamsBitEqual(run(/*max_resident=*/0), run(/*max_resident=*/1));
 }
 
 // ------------------------------------------------------ checkpoint/resume
@@ -373,7 +370,7 @@ TEST(ScaleTest, ResumeWithSpilledStateIsBitIdentical) {
   ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
   EXPECT_EQ(resumed->completed_rounds(), 3);
   resumed->Run(6, /*eval_every=*/1);
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
 }
 
 TEST(ScaleTest, VersionTwoCheckpointStillLoads) {
@@ -396,7 +393,7 @@ TEST(ScaleTest, VersionTwoCheckpointStillLoads) {
   ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
   EXPECT_EQ(resumed->completed_rounds(), 3);
   resumed->Run(6, /*eval_every=*/1);
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
 }
 
 TEST(ScaleTest, VersionTwoCheckpointRoundTripsCluSampHistory) {
@@ -419,7 +416,7 @@ TEST(ScaleTest, VersionTwoCheckpointRoundTripsCluSampHistory) {
   auto resumed = make();
   ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
   resumed->Run(5, /*eval_every=*/1);
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
+  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
 }
 
 // ------------------------------------------------- sharded aggregation
@@ -448,7 +445,7 @@ TEST(ScaleTest, ShardedAggregationIsThreadCountInvariant) {
     };
     FlatParams one = run(1);
     FlatParams four = run(4);
-    ExpectBitIdentical(one, four);
+    ExpectParamsBitEqual(one, four);
   }
 }
 

@@ -1,8 +1,12 @@
 #ifndef FEDCROSS_TESTS_TEST_UTIL_H_
 #define FEDCROSS_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -11,6 +15,18 @@
 #include "util/rng.h"
 
 namespace fedcross::testing {
+
+// Bit-for-bit equality of two flat parameter vectors: the oracle of every
+// determinism contract (thread-count invariance, plan == layers, masked ==
+// unmasked, resume == uninterrupted run). `what` labels a failure.
+inline void ExpectParamsBitEqual(const std::vector<float>& a,
+                                 const std::vector<float>& b,
+                                 const std::string& what = "") {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  if (a.empty()) return;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+      << what;
+}
 
 // Relative-error comparison that tolerates tiny absolute values.
 inline bool CloseRel(double a, double b, double rel_tol, double abs_tol) {
