@@ -96,7 +96,7 @@ int Main(int argc, char** argv) {
     table.Print(stdout);
   };
 
-  for (const std::string& arch : {"cnn", "resnet", "vgg"}) {
+  for (const char* arch : {"cnn", "resnet", "vgg"}) {
     if (!only_model.empty() && only_model != arch) continue;
     run_block(arch, image_settings);
   }

@@ -457,7 +457,7 @@ bool SchemeIsLossy(Scheme scheme) {
          scheme == Scheme::kInt8TopK;
 }
 
-std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
+std::uint32_t Crc32(std::span<const std::uint8_t> bytes, std::uint32_t prior) {
   // Slice-by-8: same polynomial and values as the textbook byte-at-a-time
   // loop, but eight table lookups per 8-byte block break the serial
   // crc -> crc dependency chain that made the checksum show up beside the
@@ -478,7 +478,7 @@ std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
     }
     return t;
   }();
-  std::uint32_t crc = 0xffffffffu;
+  std::uint32_t crc = prior ^ 0xffffffffu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
   if constexpr (std::endian::native == std::endian::little) {

@@ -41,8 +41,8 @@
 //              stochastically rounded int8 values
 //
 // Dispatches always use the kIdentity body (the broadcast must be exact:
-// FedCross's cross-aggregation and the dropped-client "echo the dispatch"
-// semantics both assume the server and the device hold the same bytes), so
+// FedCross's cross-aggregation assumes the server and the device hold the
+// same bytes), so
 // the compression schemes apply to the uplink -- the direction the sparse/
 // quantized FL literature (QSGD, DGC, top-k EF-SGD) targets. Lossy uplink
 // schemes encode the *update* (trained - dispatched) plus the client's
@@ -134,8 +134,11 @@ util::Status DecodeUpload(std::span<const std::uint8_t> frame,
 
 // --- Helpers shared with tests ---------------------------------------------
 
-// IEEE CRC-32 (the zlib polynomial) of `bytes`.
-std::uint32_t Crc32(std::span<const std::uint8_t> bytes);
+// IEEE CRC-32 (the zlib polynomial) of `bytes`. Passing the CRC of a
+// preceding buffer as `prior` continues it: Crc32(b, Crc32(a)) is the CRC
+// of a followed by b.
+std::uint32_t Crc32(std::span<const std::uint8_t> bytes,
+                    std::uint32_t prior = 0);
 
 // The k the top-k schemes keep for `params` coordinates at `fraction`.
 std::uint64_t TopKCount(std::uint64_t params, double fraction);

@@ -150,18 +150,18 @@ class FlAlgorithm {
   // Rounds completed by Run() so far (restored by LoadCheckpoint).
   int completed_rounds() const { return completed_rounds_; }
 
-  // Checkpoint/resume. SaveCheckpoint serialises the full training state —
-  // config fingerprint, completed rounds, run RNG state, communication
-  // totals, fault statistics, metrics history, and the subclass model state
-  // — atomically (tmp file + rename). LoadCheckpoint restores it into a
-  // freshly constructed instance of the *same* configuration; a fingerprint
-  // mismatch returns FailedPrecondition, truncated or malformed files
-  // return InvalidArgument. On a non-OK load the training state is
-  // unspecified: construct a fresh instance before retrying.
+  // Checkpoint/resume in the FCRS format (fl/checkpoint.h, where both are
+  // defined). SaveCheckpoint serialises the full training state — config
+  // fingerprint, completed rounds, run RNG state, communication totals,
+  // fault statistics, metrics history, the async engine, the privacy
+  // ledger, and the subclass model state — durably (fsync'd tmp file +
+  // rename). LoadCheckpoint restores it into a freshly constructed instance
+  // of the *same* configuration; a fingerprint mismatch returns
+  // FailedPrecondition, a corrupt, truncated or other-version file returns
+  // InvalidArgument. A missing, corrupt, truncated or other-version file
+  // leaves the instance untouched; after any other non-OK load the training
+  // state is unspecified: construct a fresh instance before retrying.
   util::Status SaveCheckpoint(const std::string& path);
-  // Writes a downgraded checkpoint in an older format version (>= 2), e.g.
-  // to hand a run to a build that predates the sparse v3 state tables.
-  util::Status SaveCheckpoint(const std::string& path, std::uint32_t version);
   util::Status LoadCheckpoint(const std::string& path);
 
   // Enables periodic checkpointing inside Run(): the training state is
@@ -177,7 +177,7 @@ class FlAlgorithm {
   const PrivacyStats& privacy_stats() const { return privacy_stats_; }
 
   // The RDP ledger behind privacy_epsilon(); restored bit-exactly by
-  // LoadCheckpoint (FCRS v5).
+  // LoadCheckpoint.
   const privacy::RdpAccountant& accountant() const { return accountant_; }
 
   // eps(config.dp.delta) spent so far under the subsampled-Gaussian RDP
@@ -215,6 +215,10 @@ class FlAlgorithm {
   std::int64_t inflight_dispatches() const {
     return static_cast<std::int64_t>(inflight_.size());
   }
+  // The terminal FaultKind of each in-flight dispatch, in heap array order
+  // (kDropout / kStraggler / kRejected mark events that will not be
+  // aggregated).
+  std::vector<FaultKind> inflight_faults() const;
 
  protected:
   const AlgorithmConfig& config() const { return config_; }
@@ -444,8 +448,8 @@ class FlAlgorithm {
   FaultStats fault_stats_;
   PrivacyStats privacy_stats_;
   // Subsampled-Gaussian RDP ledger: one AccumulateRound per noised
-  // aggregation event, at that event's actual sampling rate. Serialised in
-  // FCRS v5 so a resumed run's eps(delta) is bit-exact.
+  // aggregation event, at that event's actual sampling rate. Checkpointed
+  // so a resumed run's eps(delta) is bit-exact.
   privacy::RdpAccountant accountant_;
   // Masking-overlay cohort scratch, recycled: per-member results_ indices
   // (-1 = dropped member) and the upload pointers built from them.

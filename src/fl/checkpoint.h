@@ -10,56 +10,40 @@
 
 namespace fedcross::fl {
 
-// Binary serialisation of full FL training state (crash-safe checkpoints).
+// FCRS: the binary training-state checkpoint (crash-safe resume).
 //
-// A training checkpoint stores everything a killed run needs to resume
+// A checkpoint stores everything a killed run needs to resume
 // bit-identically: the config fingerprint, the completed-round counter, the
-// run RNG state, communication totals, fault statistics, the metrics
-// history, and each algorithm's model state (global params, SCAFFOLD
+// run RNG state, communication and fault totals, the metrics history, the
+// per-client cold state (codec error-feedback residuals as a sparse
+// id-keyed table), the async event engine (virtual clock, version and
+// dispatch counters, the in-flight dispatch table in heap array order), the
+// privacy ledger, and each algorithm's model state (global params, SCAFFOLD
 // variates, FedCross middleware, ...). FlAlgorithm::SaveCheckpoint /
-// LoadCheckpoint drive these primitives; algorithm subclasses append their
-// state through the SaveExtraState / LoadExtraState hooks.
+// LoadCheckpoint (defined in checkpoint.cc) drive these primitives;
+// algorithm subclasses append their state through the SaveExtraState /
+// LoadExtraState hooks.
 //
-// The file layout is magic ("FCRS") + format version + body. Writes go to
-// `path + ".tmp"` and are renamed into place so a crash mid-write can never
-// clobber the previous good checkpoint. All reads are bounds-checked and
-// return util::Status on truncated or malformed input.
+// There is one format, version 6:
 //
-// Format versions: v5 (current) adds the privacy state — the RDP
-// accountant's per-order totals and round counter (so a resumed DP run's
-// epsilon is bit-identical to the uninterrupted run's), the privacy
-// counters (clipped uploads, mask pairs, mask recoveries), and a
-// dp-clipped flag on each in-flight dispatch record; v4 adds the async
-// event-engine state — the
-// virtual clock, model-version and dispatch counters, wasted-comm totals,
-// the timeout/retry fault tallies, and the full in-flight dispatch table
-// (so a buffered-async run resumes mid-buffer bit-identically); v3 stores
-// per-client cold state — the codec error-feedback residuals, SCAFFOLD
-// variates, CluSamp update history — as sparse tables (count, then id +
-// payload per touched client) keyed by 64-bit client ids, so a
-// million-client population costs bytes only for the clients that ever
-// trained; v2 stored those tables densely over all N clients (and 32-bit
-// cluster ids); v1 stored two f64 communication totals and no residuals.
-// Readers accept all five — StateReader::version() lets load paths branch
-// on what the file actually contains (pre-v4 files restore with a zeroed
-// engine state; pre-v5 files with an empty privacy ledger). Writers normally stamp kCheckpointVersion; a StateWriter
-// constructed with an older version lets FlAlgorithm::SaveCheckpoint
-// produce downgraded files (compat tests, handing a checkpoint to an older
-// build) — downgrading a mid-buffer async run loses its in-flight table.
+//   u32 magic "FCRS" | u32 version (6) | body | u32 CRC-32(magic..body)
+//
+// All integers are little-endian. The CRC (comm::Crc32, the zlib
+// polynomial) covers header and body, so every single-bit flip and every
+// truncation is rejected before any byte of the body is parsed. Any other
+// version is rejected. An in-flight event that will never be aggregated
+// (dropped, timed out, or screened away) stores an empty params vector.
+//
+// WriteStateFile writes `path + ".tmp"`, fsyncs and closes it, renames it
+// over `path`, and fsyncs the parent directory: a crash at any point
+// leaves either the previous checkpoint or the new one, both complete. All
+// reads are bounds-checked and return util::Status on malformed input.
 
-// The version WriteStateFile stamps on new checkpoints.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 // Appends little-endian POD values to a byte buffer.
 class StateWriter {
  public:
-  StateWriter() = default;
-  explicit StateWriter(std::uint32_t version) : version_(version) {}
-
-  // The format version this checkpoint is being written as; save paths
-  // branch on it the same way load paths branch on StateReader::version().
-  std::uint32_t version() const { return version_; }
-
   void WriteU32(std::uint32_t value);
   void WriteU64(std::uint64_t value);
   void WriteI64(std::int64_t value);
@@ -76,7 +60,6 @@ class StateWriter {
 
  private:
   std::vector<std::uint8_t> bytes_;
-  std::uint32_t version_ = kCheckpointVersion;
 };
 
 // Bounds-checked reader over a checkpoint body. Every read returns
@@ -84,13 +67,8 @@ class StateWriter {
 class StateReader {
  public:
   StateReader() = default;
-  explicit StateReader(std::vector<std::uint8_t> bytes,
-                       std::uint32_t version = kCheckpointVersion)
-      : bytes_(std::move(bytes)), version_(version) {}
-
-  // The format version of the file this body came from (see the header
-  // comment); ReadStateFile fills it in.
-  std::uint32_t version() const { return version_; }
+  explicit StateReader(std::vector<std::uint8_t> bytes)
+      : bytes_(std::move(bytes)) {}
 
   util::Status ReadU32(std::uint32_t& value);
   util::Status ReadU64(std::uint64_t& value);
@@ -110,15 +88,16 @@ class StateReader {
 
   std::vector<std::uint8_t> bytes_;
   std::size_t offset_ = 0;
-  std::uint32_t version_ = kCheckpointVersion;
 };
 
-// Atomically writes header + body to `path` (tmp file + rename). The header
-// carries the writer's version.
+// Durably writes header + body + CRC trailer to `path` (fsync'd tmp file,
+// rename, fsync'd directory). Internal on any I/O failure; the tmp file is
+// removed and the previous checkpoint at `path` is left as it was.
 util::Status WriteStateFile(const std::string& path, const StateWriter& writer);
 
-// Reads `path`, validates magic and version, and returns a reader
-// positioned at the body.
+// Reads `path` and validates magic, version and CRC. NotFound if the file
+// cannot be opened, InvalidArgument if it is not an intact v6 checkpoint;
+// otherwise a reader positioned at the body.
 util::StatusOr<StateReader> ReadStateFile(const std::string& path);
 
 }  // namespace fedcross::fl

@@ -45,8 +45,9 @@ struct LocalTrainResult {
   std::uint64_t wire_bytes_down = 0;
   std::uint64_t wire_bytes_up = 0;
   // True if the round produced no usable upload (dropout, straggler
-  // timeout, or server-side rejection): params echo the dispatched model,
-  // and TrainClients never hands the result to an algorithm.
+  // timeout, or server-side rejection): params are unspecified and never
+  // read — TrainClients never hands the result to an algorithm, and a
+  // checkpoint stores none for it.
   bool dropped = false;
   // What, if anything, went wrong (see fl/faults.h).
   FaultKind fault = FaultKind::kNone;
@@ -75,8 +76,7 @@ struct LocalTrainResult {
   bool upload_corrupt = false;
   // The DP mechanism (privacy/dp.h) scaled this upload's update down to the
   // clipping bound. Counted when the upload reaches the server, so a
-  // buffered async upload carries it in the in-flight checkpoint table
-  // (FCRS v5).
+  // buffered async upload carries it in the in-flight checkpoint table.
   bool dp_clipped = false;
 };
 

@@ -160,23 +160,13 @@ void CluSamp::RunRound(int round) {
 void CluSamp::SaveExtraState(StateWriter& writer) {
   writer.WriteFloats(global_);
   writer.WriteInts(assignment_);
-  if (writer.version() >= 3) {
-    // Sparse id-keyed history: only clients that ever uploaded an update.
-    std::vector<std::int64_t> ids = client_updates_.TouchedIds();
-    writer.WriteU64(ids.size());
-    for (std::int64_t id : ids) {
-      writer.WriteI64(id);
-      FC_CHECK(client_updates_.Read(id, update_scratch_));
-      writer.WriteFloats(update_scratch_);
-    }
-  } else {
-    // Dense v2 downgrade: one row per client, empty when no history.
-    writer.WriteU64(static_cast<std::uint64_t>(num_clients()));
-    for (std::int64_t id = 0; id < num_clients(); ++id) {
-      update_scratch_.clear();
-      client_updates_.Read(id, update_scratch_);
-      writer.WriteFloats(update_scratch_);
-    }
+  // Sparse id-keyed history: only clients that ever uploaded an update.
+  std::vector<std::int64_t> ids = client_updates_.TouchedIds();
+  writer.WriteU64(ids.size());
+  for (std::int64_t id : ids) {
+    writer.WriteI64(id);
+    FC_CHECK(client_updates_.Read(id, update_scratch_));
+    writer.WriteFloats(update_scratch_);
   }
 }
 
@@ -191,31 +181,17 @@ util::Status CluSamp::LoadExtraState(StateReader& reader) {
   std::uint64_t count = 0;
   FC_RETURN_IF_ERROR(reader.ReadU64(count));
   client_updates_.Clear();
-  if (reader.version() >= 3) {
-    std::int64_t prev_id = -1;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::int64_t id = 0;
-      FC_RETURN_IF_ERROR(reader.ReadI64(id));
-      if (id <= prev_id || id >= num_clients()) {
-        return util::Status::InvalidArgument(
-            "update-history ids must be ascending and in range");
-      }
-      prev_id = id;
-      FC_RETURN_IF_ERROR(reader.ReadFloats(update_scratch_));
-      client_updates_.Touch(id) = update_scratch_;
+  std::int64_t prev_id = -1;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::int64_t id = 0;
+    FC_RETURN_IF_ERROR(reader.ReadI64(id));
+    if (id <= prev_id || id >= num_clients()) {
+      return util::Status::InvalidArgument(
+          "update-history ids must be ascending and in range");
     }
-  } else {
-    if (count != static_cast<std::uint64_t>(num_clients())) {
-      return util::Status::FailedPrecondition(
-          "checkpoint has update history for " + std::to_string(count) +
-          " clients, run has " + std::to_string(num_clients()));
-    }
-    for (std::uint64_t id = 0; id < count; ++id) {
-      FC_RETURN_IF_ERROR(reader.ReadFloats(update_scratch_));
-      if (!update_scratch_.empty()) {
-        client_updates_.Touch(static_cast<std::int64_t>(id)) = update_scratch_;
-      }
-    }
+    prev_id = id;
+    FC_RETURN_IF_ERROR(reader.ReadFloats(update_scratch_));
+    client_updates_.Touch(id) = update_scratch_;
   }
   return util::Status::Ok();
 }

@@ -73,12 +73,10 @@ class CommTracker {
   std::uint64_t total_wire_wasted_bytes() const { return total_wire_wasted_; }
 
   // Checkpoint restore: resets to the given cumulative totals with the
-  // per-round counters cleared. Checkpoints older than FCRS v4 carry no
-  // wasted totals; the defaults restart those counters at zero.
+  // per-round counters cleared.
   void Restore(std::uint64_t total_down, std::uint64_t total_up,
                std::uint64_t total_wire_down, std::uint64_t total_wire_up,
-               std::uint64_t total_wasted = 0,
-               std::uint64_t total_wire_wasted = 0) {
+               std::uint64_t total_wasted, std::uint64_t total_wire_wasted) {
     total_down_ = total_down;
     total_up_ = total_up;
     total_wire_down_ = total_wire_down;

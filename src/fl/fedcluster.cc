@@ -1,6 +1,5 @@
 #include "fl/fedcluster.h"
 
-#include <limits>
 #include <numeric>
 
 namespace fedcross::fl {
@@ -70,21 +69,8 @@ void FedCluster::RunRound(int round) {
 void FedCluster::SaveExtraState(StateWriter& writer) {
   writer.WriteFloats(global_);
   writer.WriteU64(clusters_.size());
-  if (writer.version() >= 3) {
-    for (const std::vector<std::int64_t>& cluster : clusters_) {
-      writer.WriteInts64(cluster);
-    }
-  } else {
-    // Dense v2 downgrade: 32-bit member ids (the historical layout).
-    for (const std::vector<std::int64_t>& cluster : clusters_) {
-      std::vector<int> narrow;
-      narrow.reserve(cluster.size());
-      for (std::int64_t id : cluster) {
-        FC_CHECK_LE(id, std::numeric_limits<int>::max());
-        narrow.push_back(static_cast<int>(id));
-      }
-      writer.WriteInts(narrow);
-    }
+  for (const std::vector<std::int64_t>& cluster : clusters_) {
+    writer.WriteInts64(cluster);
   }
 }
 
@@ -98,13 +84,7 @@ util::Status FedCluster::LoadExtraState(StateReader& reader) {
         std::to_string(clusters_.size()));
   }
   for (std::vector<std::int64_t>& cluster : clusters_) {
-    if (reader.version() >= 3) {
-      FC_RETURN_IF_ERROR(reader.ReadInts64(cluster));
-    } else {
-      std::vector<int> narrow;
-      FC_RETURN_IF_ERROR(reader.ReadInts(narrow));
-      cluster.assign(narrow.begin(), narrow.end());
-    }
+    FC_RETURN_IF_ERROR(reader.ReadInts64(cluster));
   }
   return util::Status::Ok();
 }

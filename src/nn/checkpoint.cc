@@ -110,36 +110,4 @@ util::Status LoadModel(Sequential& model, const std::string& path) {
   return util::Status::Ok();
 }
 
-util::Status SaveFlatParams(const std::vector<float>& params,
-                            const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  AppendU32(bytes, kMagic);
-  AppendU32(bytes, kVersion);
-  AppendU32(bytes, 1);
-  Tensor wrapper = Tensor::FromVector(
-      {static_cast<int>(params.size())}, std::vector<float>(params));
-  wrapper.SerializeTo(bytes);
-  return WriteFile(path, bytes);
-}
-
-util::StatusOr<std::vector<float>> LoadFlatParams(const std::string& path) {
-  auto bytes_or = ReadFile(path);
-  if (!bytes_or.ok()) return bytes_or.status();
-  const std::vector<std::uint8_t>& bytes = bytes_or.value();
-
-  std::size_t offset = 0;
-  std::uint32_t count = 0;
-  FC_RETURN_IF_ERROR(CheckHeader(bytes, offset, count));
-  if (count != 1) {
-    return util::Status::InvalidArgument("expected a single flat tensor");
-  }
-  Tensor wrapper;
-  if (!Tensor::DeserializeFrom(bytes, offset, wrapper)) {
-    return util::Status::InvalidArgument("corrupt flat tensor");
-  }
-  std::vector<float> params(wrapper.numel());
-  std::memcpy(params.data(), wrapper.data(), params.size() * sizeof(float));
-  return params;
-}
-
 }  // namespace fedcross::nn

@@ -20,11 +20,6 @@ namespace fedcross::nn {
 util::Status SaveModel(Sequential& model, const std::string& path);
 util::Status LoadModel(Sequential& model, const std::string& path);
 
-// Flat-parameter variants for FL servers that hold models as vectors.
-util::Status SaveFlatParams(const std::vector<float>& params,
-                            const std::string& path);
-util::StatusOr<std::vector<float>> LoadFlatParams(const std::string& path);
-
 }  // namespace fedcross::nn
 
 #endif  // FEDCROSS_NN_CHECKPOINT_H_

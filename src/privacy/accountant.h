@@ -34,7 +34,7 @@ namespace fedcross::privacy {
 //   q = 0:      rdp = 0                     (no one was sampled)
 //
 // All totals are exact f64 sums over a *fixed* order grid, so checkpointing
-// the per-order totals (FCRS v5) and restoring them reproduces epsilon
+// the per-order totals (fl/checkpoint.h) and restoring them reproduces epsilon
 // bit-exactly — the accountant is part of the deterministic training state.
 // ---------------------------------------------------------------------------
 

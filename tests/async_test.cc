@@ -7,11 +7,12 @@
 //   * staleness weights match the FedBuff family by hand;
 //   * buffered aggregation beats the sync barrier on virtual time under
 //     straggler-heavy fleets;
-//   * FCRS v4 checkpoints capture the engine mid-buffer (save -> kill ->
-//     load resumes bit-identically with uploads still in flight), while a
-//     v3 downgrade still loads.
+//   * FCRS checkpoints capture the engine mid-buffer (save -> kill -> load
+//     resumes bit-identically with uploads still in flight, failed events
+//     included).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -412,30 +413,61 @@ TEST(AsyncTest, BuffersBeatTheBarrierUnderStragglers) {
 }
 
 // --------------------------------------------------------------------------
-// FCRS v4: mid-buffer resume and the v3 downgrade
+// FCRS: mid-buffer resume
 // --------------------------------------------------------------------------
 
 TEST(AsyncCheckpointTest, MidBufferResumeIsBitIdentical) {
-  for (const char* name : {"FedAvg", "FedCross"}) {
-    SCOPED_TRACE(name);
-    const std::string path = std::string("async_ckpt_") + name + ".bin";
-    AlgorithmConfig config = AsyncConfig();
+  // The screened cell corrupts uploads with NaNs and screens them away, so
+  // the saved in-flight table also holds failed events (dropouts, terminal
+  // timeouts, rejections), which the checkpoint stores without params. A
+  // buffer of 2 leaves them in flight: rejections free their buffer slot,
+  // so a buffer of 3 drains this toy cohort.
+  AlgorithmConfig screened = AsyncConfig();
+  screened.async.buffer_size = 2;
+  screened.faults.profile.corrupt_prob = 0.3;
+  screened.faults.profile.corruption = CorruptionKind::kNanInject;
+  screened.screening.check_finite = true;
+  struct Cell {
+    const char* name;
+    AlgorithmConfig config;
+    bool screened;
+  };
+  for (const Cell& cell : {Cell{"FedAvg", AsyncConfig(), false},
+                           Cell{"FedCross", AsyncConfig(), false},
+                           Cell{"FedCross", screened, true}}) {
+    const std::string label =
+        std::string(cell.name) + (cell.screened ? "_screened" : "");
+    SCOPED_TRACE(label);
+    const std::string path = "async_ckpt_" + label + ".bin";
 
-    std::unique_ptr<FlAlgorithm> full = MakeAlgorithm(name, config);
+    std::unique_ptr<FlAlgorithm> full = MakeAlgorithm(cell.name, cell.config);
     full->Run(6, /*eval_every=*/1);
 
-    // Interrupt with uploads still in flight: the v4 checkpoint must carry
+    // Interrupt with uploads still in flight: the checkpoint must carry
     // the buffered arrivals, the clock, and the version counters.
     std::int64_t inflight_at_save = 0;
     {
-      std::unique_ptr<FlAlgorithm> first = MakeAlgorithm(name, config);
+      std::unique_ptr<FlAlgorithm> first =
+          MakeAlgorithm(cell.name, cell.config);
       first->Run(3, /*eval_every=*/1);
       inflight_at_save = first->inflight_dispatches();
+      if (cell.screened) {
+        std::vector<FaultKind> faults = first->inflight_faults();
+        auto count = [&](FaultKind kind) {
+          return std::count(faults.begin(), faults.end(), kind);
+        };
+        EXPECT_GT(count(FaultKind::kDropout) + count(FaultKind::kStraggler),
+                  0)
+            << "test must save a dropped in-flight event";
+        EXPECT_GT(count(FaultKind::kRejected), 0)
+            << "test must save a rejected in-flight event";
+      }
       ASSERT_TRUE(first->SaveCheckpoint(path).ok());
     }
     ASSERT_GT(inflight_at_save, 0) << "test must interrupt mid-buffer";
 
-    std::unique_ptr<FlAlgorithm> resumed = MakeAlgorithm(name, config);
+    std::unique_ptr<FlAlgorithm> resumed =
+        MakeAlgorithm(cell.name, cell.config);
     ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
     EXPECT_EQ(resumed->completed_rounds(), 3);
     EXPECT_EQ(resumed->inflight_dispatches(), inflight_at_save);
@@ -447,39 +479,16 @@ TEST(AsyncCheckpointTest, MidBufferResumeIsBitIdentical) {
     EXPECT_EQ(full->inflight_dispatches(), resumed->inflight_dispatches());
     EXPECT_EQ(full->fault_stats().timeouts, resumed->fault_stats().timeouts);
     EXPECT_EQ(full->fault_stats().retries, resumed->fault_stats().retries);
+    EXPECT_EQ(full->fault_stats().dropouts, resumed->fault_stats().dropouts);
+    EXPECT_EQ(full->fault_stats().rejected, resumed->fault_stats().rejected);
+    EXPECT_EQ(full->fault_stats().corrupted,
+              resumed->fault_stats().corrupted);
     EXPECT_EQ(full->comm().total_wasted_bytes(),
               resumed->comm().total_wasted_bytes());
     EXPECT_EQ(full->comm().total_upload_bytes(),
               resumed->comm().total_upload_bytes());
     std::remove(path.c_str());
   }
-}
-
-TEST(AsyncCheckpointTest, V3DowngradeStillLoads) {
-  // Pre-engine checkpoints carry no wasted totals and no engine block; a
-  // sync run downgraded to v3 must round-trip and resume bit-identically
-  // (the engine state is observational in sync mode).
-  const std::string path = "async_ckpt_v3.bin";
-  AlgorithmConfig config = ToyConfig();
-
-  std::unique_ptr<FlAlgorithm> full = MakeAlgorithm("FedAvg", config);
-  full->Run(5, /*eval_every=*/1);
-
-  {
-    std::unique_ptr<FlAlgorithm> first = MakeAlgorithm("FedAvg", config);
-    first->Run(3, /*eval_every=*/1);
-    ASSERT_TRUE(first->SaveCheckpoint(path, /*version=*/3).ok());
-  }
-  std::unique_ptr<FlAlgorithm> resumed = MakeAlgorithm("FedAvg", config);
-  ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
-  EXPECT_EQ(resumed->completed_rounds(), 3);
-  // v3 carries no engine block: the restored engine starts cold.
-  EXPECT_EQ(resumed->virtual_now(), 0.0);
-  EXPECT_EQ(resumed->inflight_dispatches(), 0);
-  EXPECT_EQ(resumed->comm().total_wasted_bytes(), 0u);
-  resumed->Run(5, /*eval_every=*/1);
-  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
-  std::remove(path.c_str());
 }
 
 }  // namespace

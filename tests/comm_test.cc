@@ -108,6 +108,13 @@ TEST(WireHelpersTest, Crc32KnownAnswers) {
                    check.size()}),
             0xCBF43926u);
   EXPECT_EQ(Crc32({static_cast<const std::uint8_t*>(nullptr), 0}), 0u);
+  // Continuation across a split, including one inside an 8-byte block.
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(check.data());
+  for (std::size_t split = 0; split <= check.size(); ++split) {
+    EXPECT_EQ(Crc32({bytes + split, check.size() - split},
+                    Crc32({bytes, split})),
+              0xCBF43926u);
+  }
 }
 
 TEST(WireHelpersTest, TopKCountClampsToValidRange) {

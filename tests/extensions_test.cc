@@ -151,16 +151,6 @@ TEST(CheckpointTest, CorruptFileLeavesModelUntouched) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, FlatParamsRoundTrip) {
-  std::vector<float> params = {1.5f, -2.0f, 3.25f};
-  std::string path = TempPath("flat.fcpt");
-  ASSERT_TRUE(nn::SaveFlatParams(params, path).ok());
-  auto loaded = nn::LoadFlatParams(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), params);
-  std::remove(path.c_str());
-}
-
 // ------------------------------------------------------------------ Adam
 
 TEST(AdamTest, ConvergesOnQuadratic) {

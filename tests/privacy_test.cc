@@ -3,7 +3,7 @@
 // edge cases (zero-norm updates, clip without noise, non-finite uploads
 // meeting server screening), secure-aggregation masking — exact pairwise
 // cancellation, dropout recovery, and the masking-on == masking-off
-// bit-identity across all six algorithms — and the FCRS v5 checkpoint
+// bit-identity across all six algorithms — and the FCRS checkpoint
 // round trip of the accountant ledger.
 #include <gtest/gtest.h>
 
@@ -507,7 +507,7 @@ TEST(MaskingTest, MaskedUploadsHideEncodingsAndSumToTheDirectSum) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the overlay across every algorithm, DP determinism, FCRS v5
+// End-to-end: the overlay across every algorithm, DP determinism, FCRS resume
 // ---------------------------------------------------------------------------
 
 enum class Method { kFedAvg, kFedProx, kScaffold, kFedGen, kCluSamp,
@@ -649,7 +649,7 @@ TEST(DpEndToEndTest, ClipOnlyRunLeavesTheLedgerEmpty) {
 }
 
 TEST(CheckpointV5Test, EpsilonSurvivesKillAndResumeBitExactly) {
-  const std::string path = TempPath("privacy_v5.ckpt");
+  const std::string path = TempPath("privacy_resume.ckpt");
   fl::AlgorithmConfig config = ToyConfig();
   config.dp.clip_norm = 1.0f;
   config.dp.noise_multiplier = 1.5f;
@@ -663,7 +663,7 @@ TEST(CheckpointV5Test, EpsilonSurvivesKillAndResumeBitExactly) {
     auto first = MakeAlgorithm(Method::kFedCross, config);
     first->EnableAutoCheckpoint(path, 1);
     first->Run(3, 6);
-    // The instance dies here; only the FCRS v5 file survives.
+    // The instance dies here; only the FCRS file survives.
   }
 
   auto resumed = MakeAlgorithm(Method::kFedCross, config);
@@ -684,21 +684,6 @@ TEST(CheckpointV5Test, EpsilonSurvivesKillAndResumeBitExactly) {
   fl::FlatParams a = full->GlobalParams();
   fl::FlatParams b = resumed->GlobalParams();
   testing::ExpectParamsBitEqual(a, b);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointV5Test, V4DowngradeStillLoadsWithEmptyLedger) {
-  const std::string path = TempPath("privacy_v4.ckpt");
-  fl::AlgorithmConfig config = ToyConfig();  // privacy off: v4-compatible
-  auto writer = MakeAlgorithm(Method::kFedAvg, config);
-  writer->Run(2, 2);
-  ASSERT_TRUE(writer->SaveCheckpoint(path, 4).ok());
-
-  auto reader = MakeAlgorithm(Method::kFedAvg, config);
-  ASSERT_TRUE(reader->LoadCheckpoint(path).ok());
-  EXPECT_EQ(reader->completed_rounds(), 2);
-  EXPECT_EQ(reader->accountant().rounds(), 0);
-  EXPECT_EQ(reader->privacy_stats().clipped, 0);
   std::remove(path.c_str());
 }
 

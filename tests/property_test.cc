@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <set>
+#include <string_view>
 
 #include "core/fedcross.h"
 #include "data/partition.h"
@@ -275,13 +276,13 @@ TEST(OptimizerPropertyTest, SgdAndAdamBothSolveToyProblem) {
   dataset->GetBatch(all, features, labels);
   nn::CrossEntropyLoss criterion;
 
-  for (const std::string& which : {"sgd", "adam"}) {
+  for (const char* which : {"sgd", "adam"}) {
     util::Rng rng(11);
     nn::Sequential model;
     model.Add(std::make_unique<nn::Linear>(4, 2, rng));
     std::unique_ptr<optim::Sgd> sgd;
     std::unique_ptr<optim::Adam> adam;
-    if (which == "sgd") {
+    if (std::string_view(which) == "sgd") {
       optim::SgdOptions options;
       options.lr = 0.1f;
       options.momentum = 0.9f;

@@ -7,12 +7,15 @@
 //     exactly like dropouts (the global model stays finite);
 //   * the robust aggregators match hand-computed values;
 //   * save -> kill -> load -> resume is bit-identical to an uninterrupted
-//     run for all six algorithms.
+//     run for all six algorithms;
+//   * every single-bit flip and every truncation of a checkpoint is
+//     rejected, and leaves the loading instance untouched.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -772,30 +775,6 @@ TEST(CheckpointTest, MismatchedConfigurationIsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, TruncatedCheckpointIsRejected) {
-  const std::string path = "robustness_ckpt_truncated.bin";
-  {
-    std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
-    algo->Run(2, /*eval_every=*/1);
-    ASSERT_TRUE(algo->SaveCheckpoint(path).ok());
-  }
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  ASSERT_TRUE(in.good());
-  std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<char> bytes(static_cast<std::size_t>(size) / 2);
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  in.close();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
-  EXPECT_EQ(algo->LoadCheckpoint(path).code(),
-            util::StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
 TEST(CheckpointTest, MissingFileIsNotFound) {
   std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
   EXPECT_EQ(algo->LoadCheckpoint("definitely_missing.bin").code(),
@@ -803,7 +782,7 @@ TEST(CheckpointTest, MissingFileIsNotFound) {
 }
 
 TEST(CheckpointTest, ResumeUnderLossyCodecIsBitIdentical) {
-  // The v2 checkpoint carries the per-client error-feedback residuals: a
+  // The checkpoint carries the per-client error-feedback residuals: a
   // resumed int8_topk run must re-quantise against the same residual state
   // the killed run held, or it diverges from the uninterrupted one.
   const std::string path = "robustness_ckpt_codec.bin";
@@ -849,77 +828,101 @@ TEST(CheckpointTest, CodecConfigPerturbsTheFingerprint) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, Version1CheckpointStillLoads) {
-  // Builds a real v1 file out of a v2 one by inverting the format bump:
-  // the four u64 comm counters become the two f64 totals v1 stored, the
-  // residual-table count disappears, and the header version drops to 1.
-  // Everything the old format did carry must keep resuming exactly.
-  const std::string path = "robustness_ckpt_v1.bin";
-  AlgorithmConfig config = ToyConfig();
+// --------------------------------------------------------------------------
+// FCRS integrity: the CRC trailer covers header and body
+// --------------------------------------------------------------------------
 
-  std::unique_ptr<FlAlgorithm> full = MakeAlgorithm("FedAvg", config);
-  full->Run(4, /*eval_every=*/1);
+std::vector<std::uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
 
-  {
-    std::unique_ptr<FlAlgorithm> first = MakeAlgorithm("FedAvg", config);
-    first->Run(2, /*eval_every=*/1);
-    // Start from the v2 downgrade: the byte surgery below inverts the
-    // v1 -> v2 bump, and later versions append further blocks (sparse
-    // tables, wasted totals, the v4 engine state) it does not model.
-    ASSERT_TRUE(first->SaveCheckpoint(path, /*version=*/2).ok());
-  }
-
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    ASSERT_TRUE(in.good());
-    bytes.resize(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(bytes.data()),
+void WriteBytes(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-  }
-  // Body layout up to the comm block: fingerprint u64, completed i64, four
-  // RNG words, the cached-normal bool + f64. File header is 8 bytes.
-  const std::size_t comm_at = 8 + 8 + 8 + 4 * 8 + 1 + 8;
-  std::uint64_t total_down = 0;
-  std::uint64_t total_up = 0;
-  std::memcpy(&total_down, bytes.data() + comm_at, 8);
-  std::memcpy(&total_up, bytes.data() + comm_at + 8, 8);
-  double as_f64[2] = {static_cast<double>(total_down),
-                      static_cast<double>(total_up)};
-  // 4 x u64 -> 2 x f64: the comm block shrinks by 16 bytes.
-  std::memcpy(bytes.data() + comm_at, as_f64, 16);
-  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(comm_at + 16),
-              bytes.begin() + static_cast<std::ptrdiff_t>(comm_at + 32));
-  // Drop the residual-table count (empty for an identity run): it sits
-  // after the fault stats and the history records.
-  std::uint64_t record_count = 0;
-  const std::size_t records_at = comm_at + 16 + 4 * 8;
-  std::memcpy(&record_count, bytes.data() + records_at, 8);
-  ASSERT_EQ(record_count, 2u);
-  const std::size_t residuals_at = records_at + 8 + record_count * 40;
-  std::uint64_t residual_count = 0;
-  std::memcpy(&residual_count, bytes.data() + residuals_at, 8);
-  ASSERT_EQ(residual_count, 0u);
-  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(residuals_at),
-              bytes.begin() + static_cast<std::ptrdiff_t>(residuals_at + 8));
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 4, &v1, 4);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+}
 
-  std::unique_ptr<FlAlgorithm> resumed = MakeAlgorithm("FedAvg", config);
-  ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
-  EXPECT_EQ(resumed->completed_rounds(), 2);
-  // v1 predates wire accounting: wire totals fall back to the raw totals.
-  EXPECT_EQ(resumed->comm().total_upload_bytes(), total_up);
-  EXPECT_EQ(resumed->comm().total_wire_upload_bytes(), total_up);
-  resumed->Run(4, /*eval_every=*/1);
-  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
-  ExpectSameHistory(full->history(), resumed->history());
+// A real checkpoint: FedAvg on the toy config after 2 rounds.
+std::vector<std::uint8_t> SmallCheckpoint(const std::string& path) {
+  std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
+  algo->Run(2, /*eval_every=*/1);
+  EXPECT_TRUE(algo->SaveCheckpoint(path).ok());
+  return ReadBytes(path);
+}
+
+TEST(CheckpointIntegrityTest, EveryBitFlipIsRejected) {
+  const std::string path = "robustness_ckpt_bitflip.bin";
+  const std::vector<std::uint8_t> bytes = SmallCheckpoint(path);
+  ASSERT_GT(bytes.size(), 12u);
+  // The load target is mid-run, so "unchanged" is observable: a rejected
+  // load must leave its round counter and model exactly as they were.
+  std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
+  algo->Run(1, /*eval_every=*/1);
+  const FlatParams before = algo->GlobalParams();
+  // Flip bytes in place: rewriting the whole file per case is ~10x slower.
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.good());
+  auto put = [&](std::size_t offset, std::uint8_t value) {
+    file.seekp(static_cast<std::streamoff>(offset));
+    file.put(static_cast<char>(value));
+    file.flush();
+  };
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    const std::size_t at = bit / 8;
+    put(at, static_cast<std::uint8_t>(bytes[at] ^ (1u << (bit % 8))));
+    ASSERT_EQ(algo->LoadCheckpoint(path).code(),
+              util::StatusCode::kInvalidArgument)
+        << "bit " << bit;
+    put(at, bytes[at]);
+    ASSERT_EQ(algo->completed_rounds(), 1) << "bit " << bit;
+    ExpectParamsBitEqual(before, algo->GlobalParams(),
+                         "bit " + std::to_string(bit));
+    if (HasFailure()) break;
+  }
+  file.close();
+  // The unmutated file still loads.
+  ASSERT_TRUE(algo->LoadCheckpoint(path).ok());
+  EXPECT_EQ(algo->completed_rounds(), 2);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, TruncatedCheckpointIsRejected) {
+  const std::string path = "robustness_ckpt_truncated.bin";
+  const std::size_t size = SmallCheckpoint(path).size();
+  std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
+  // Every prefix, longest first, cut in place.
+  for (std::size_t prefix = size; prefix-- > 0;) {
+    std::filesystem::resize_file(path, prefix);
+    ASSERT_EQ(algo->LoadCheckpoint(path).code(),
+              util::StatusCode::kInvalidArgument)
+        << "prefix of " << prefix << " bytes";
+  }
+  EXPECT_EQ(algo->completed_rounds(), 0);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointIntegrityTest, OlderVersionIsRejectedDespiteValidCrc) {
+  const std::string path = "robustness_ckpt_v5.bin";
+  std::vector<std::uint8_t> bytes = SmallCheckpoint(path);
+  const std::uint32_t v5 = 5;
+  std::memcpy(bytes.data() + 4, &v5, sizeof(v5));
+  const std::size_t payload = bytes.size() - 4;
+  const std::uint32_t crc = comm::Crc32({bytes.data(), payload});
+  std::memcpy(bytes.data() + payload, &crc, sizeof(crc));
+  WriteBytes(path, bytes);
+
+  std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
+  util::Status status = algo->LoadCheckpoint(path);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unsupported training checkpoint version 5"),
+            std::string::npos)
+      << status.ToString();
   std::remove(path.c_str());
 }
 

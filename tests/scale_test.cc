@@ -373,35 +373,12 @@ TEST(ScaleTest, ResumeWithSpilledStateIsBitIdentical) {
   ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
 }
 
-TEST(ScaleTest, VersionTwoCheckpointStillLoads) {
-  // The v3 sparse id-keyed tables coexist with the v2 dense layout:
-  // a downgraded save written by this build must restore exactly like the
-  // native format.
+TEST(ScaleTest, ResumeRoundTripsCluSampHistory) {
+  // CluSamp's per-client update history is the other sparse id-keyed
+  // table; a virtual-population resume must round-trip it exactly.
   FlThreadsGuard guard;
   SetFlThreads(1);
-  std::string path = ::testing::TempDir() + "/scale_v2.fcpt";
-
-  auto full = MakeSpillyScaffold();
-  full->Run(6, /*eval_every=*/1);
-
-  {
-    auto first = MakeSpillyScaffold();
-    first->Run(3, /*eval_every=*/1);
-    ASSERT_TRUE(first->SaveCheckpoint(path, /*version=*/2).ok());
-  }
-  auto resumed = MakeSpillyScaffold();
-  ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
-  EXPECT_EQ(resumed->completed_rounds(), 3);
-  resumed->Run(6, /*eval_every=*/1);
-  ExpectParamsBitEqual(full->GlobalParams(), resumed->GlobalParams());
-}
-
-TEST(ScaleTest, VersionTwoCheckpointRoundTripsCluSampHistory) {
-  // CluSamp's per-client update history is the other sparse v3 table; the
-  // dense v2 fallback must round-trip it too.
-  FlThreadsGuard guard;
-  SetFlThreads(1);
-  std::string path = ::testing::TempDir() + "/scale_v2_clusamp.fcpt";
+  std::string path = ::testing::TempDir() + "/scale_clusamp.fcpt";
   auto make = []() {
     return std::make_unique<CluSamp>(ScaleConfig(), MakeVirtualToy(8, 4, 40),
                                      LinearFactory(4), /*kmeans_iters=*/3);
@@ -411,7 +388,7 @@ TEST(ScaleTest, VersionTwoCheckpointRoundTripsCluSampHistory) {
   {
     auto first = make();
     first->Run(2, /*eval_every=*/1);
-    ASSERT_TRUE(first->SaveCheckpoint(path, /*version=*/2).ok());
+    ASSERT_TRUE(first->SaveCheckpoint(path).ok());
   }
   auto resumed = make();
   ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
